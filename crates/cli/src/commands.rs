@@ -21,10 +21,10 @@ use cil_core::naive::Naive;
 use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::TwoProcessor;
 use cil_core::KRegCodec;
-use cil_mc::mdp::{MdpSolver, Objective};
+use cil_mc::mdp::Objective;
 use cil_mc::{
-    construct_infinite_schedule, CompactExplorer, CompactMdp, CompactOptions, Explorer,
-    LookaheadAdversary, Symmetric,
+    construct_infinite_schedule, CompactExplorer, CompactMdp, CompactOptions, LookaheadAdversary,
+    Symmetric,
 };
 use cil_obs::json::{self, Value};
 use cil_obs::{
@@ -74,15 +74,13 @@ USAGE:
                 [--metrics-out <file>] [--metrics-format json|openmetrics]
                 [--timings]                        parallel Monte-Carlo sweep
   cil check     --protocol <P> --inputs a,b[,..] [--depth N] [--max-configs N]
-                [--jobs N] [--stats] [--progress] [--compat-dense]
+                [--stats] [--progress]
                 [--metrics-out <file>] [--metrics-format F] [--timings]
   cil mdp       --inputs a,b [--kmax N] [--jobs N] [--metrics-out <file>]
-                [--metrics-format F] [--timings]
-                [--compat-dense]                   exact Theorem 7 analysis
+                [--metrics-format F] [--timings]   exact Theorem 7 analysis
   cil survival  --protocol <P> --inputs a,b[,..] [--target N] [--kmax N]
                 [--depth N] [--max-configs N] [--jobs N] [--metrics-out <file>]
-                [--metrics-format F] [--timings]
-                [--compat-dense]                   exact worst-case survival
+                [--metrics-format F] [--timings]   exact worst-case survival
                 curve P[target undecided after k of its steps]; --depth is
                 required for the infinite-space protocols (fig2, fig3, n:<c>)
   cil report    <file> [--merge <f2,f3,..>] [--flame]   offline analyzer for
@@ -151,8 +149,7 @@ RULES <R>: always-adopt | always-keep | adopt-if-greater | alternate
 JOBS: --jobs 0 (default) = all cores, 1 = serial; results are identical at
       every setting — only wall time changes.
 BACKENDS: check, mdp and survival run on a hash-consed, symmetry-reduced
-      state space by default; --compat-dense switches to the original dense
-      enumeration (same verdicts and values, more states).
+      state space.
 OBSERVABILITY: --progress renders a live rate/ETA (sweep) or per-level BFS
       line (check) on stderr; --metrics-out writes a metrics snapshot in
       canonical JSON or OpenMetrics text (--metrics-format); --trace-json
@@ -349,11 +346,55 @@ fn run_one<P: Protocol + 'static>(protocol: &P, args: &Args) -> Result<String, S
     Ok(s)
 }
 
+/// A parameterized protocol spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    /// `n:<count>`: the §5 protocol for `count` processors.
+    N(usize),
+    /// `kvalued:<k>`: the k-valued reduction over the binary protocols.
+    KValued(u64),
+}
+
+/// Parses an `n:<count>` or `kvalued:<k>` spec; `Ok(None)` for any other
+/// spec. Rejects, with a message, what the protocol constructors would
+/// panic on: fewer than two processors or values, and (given the run's
+/// `inputs`, or prove's `--domain`) a `kvalued:<k>` input outside `0..k`.
+fn parse_family(spec: &str, inputs: &[Val]) -> Result<Option<Family>, String> {
+    if let Some(count) = spec.strip_prefix("n:") {
+        let n: usize = count
+            .parse()
+            .map_err(|_| format!("bad processor count in '{spec}'"))?;
+        if n < 2 {
+            return Err(format!(
+                "'{spec}': coordination needs at least two processors"
+            ));
+        }
+        return Ok(Some(Family::N(n)));
+    }
+    if let Some(k) = spec.strip_prefix("kvalued:") {
+        let k: u64 = k.parse().map_err(|_| format!("bad k in '{spec}'"))?;
+        if k < 2 {
+            return Err(format!("'{spec}': coordination needs at least two values"));
+        }
+        if let Some(v) = inputs.iter().find(|v| v.0 >= k) {
+            return Err(format!("input {} is outside 0..{k} for '{spec}'", v.0));
+        }
+        return Ok(Some(Family::KValued(k)));
+    }
+    Ok(None)
+}
+
+/// The error for a protocol spec no command knows.
+fn unknown_protocol(spec: &str) -> String {
+    format!("unknown protocol '{spec}' (see cil help)")
+}
+
 macro_rules! with_protocol {
     ($args:expr, $f:ident) => {{
         let args = $args;
         let spec = args.get_or("protocol", "two");
-        let n_inputs = parse_inputs(args.get_or("inputs", ""))?.len();
+        let inputs = parse_inputs(args.get_or("inputs", ""))?;
+        let n_inputs = inputs.len();
         match spec {
             "two" => $f(&TwoProcessor::new(), args),
             "fig2" => $f(&NUnbounded::three(), args),
@@ -361,23 +402,14 @@ macro_rules! with_protocol {
             "fig2-1w1r" => $f(&NUnbounded1W1R::three(), args),
             "fig3" => $f(&ThreeBounded::new(), args),
             "naive" => $f(&Naive::new(n_inputs.max(2)), args),
-            s if s.starts_with("n:") => {
-                let n: usize = s[2..]
-                    .parse()
-                    .map_err(|_| format!("bad processor count in '{s}'"))?;
-                $f(&NUnbounded::new(n), args)
-            }
-            s if s.starts_with("kvalued:") => {
-                let k: u64 = s["kvalued:".len()..]
-                    .parse()
-                    .map_err(|_| format!("bad k in '{s}'"))?;
-                if n_inputs <= 2 {
+            other => match parse_family(other, &inputs)? {
+                Some(Family::N(n)) => $f(&NUnbounded::new(n), args),
+                Some(Family::KValued(k)) if n_inputs <= 2 => {
                     $f(&KValued::new(TwoProcessor::new(), k), args)
-                } else {
-                    $f(&KValued::new(NUnbounded::new(n_inputs), k), args)
                 }
-            }
-            other => Err(format!("unknown protocol '{other}' (see cil help)")),
+                Some(Family::KValued(k)) => $f(&KValued::new(NUnbounded::new(n_inputs), k), args),
+                None => Err(unknown_protocol(other)),
+            },
         }
     }};
 }
@@ -577,30 +609,6 @@ fn audit_one(spec: &str) -> Result<AuditReport, String> {
             let rule = parse_rule(&s["det:".len()..])?;
             Auditor::new(&DetTwo::new(rule)).with_packable().run()
         }
-        s if s.starts_with("n:") => {
-            let n: usize = s[2..]
-                .parse()
-                .map_err(|_| format!("bad processor count in '{s}'"))?;
-            Auditor::new(&NUnbounded::new(n))
-                .with_packable()
-                .with_max_states(UNBOUNDED_WALK_STATES)
-                .run()
-        }
-        s if s.starts_with("kvalued:") => {
-            let k: u64 = s["kvalued:".len()..]
-                .parse()
-                .map_err(|_| format!("bad k in '{s}'"))?;
-            // KReg cannot implement Packable (Inner/Cand words are
-            // ambiguous on unpack), so the packer is supplied by hand:
-            // the same encoding the register specs' widths were sized for.
-            Auditor::new(&KValued::new(TwoProcessor::new(), k))
-                .with_inputs((0..k.max(2)).map(Val))
-                .with_packer(|r: &KReg<cil_core::two::TwoReg>| match r {
-                    KReg::Inner(inner) => inner.pack(),
-                    KReg::Cand(c) => c.map_or(0, |v| v + 1),
-                })
-                .run()
-        }
         s if s.starts_with("mutant:") => {
             let key = &s["mutant:".len()..];
             if let Some(kind) = MutantKind::parse(key) {
@@ -613,7 +621,23 @@ fn audit_one(spec: &str) -> Result<AuditReport, String> {
                 return Err(unknown_mutant(s));
             }
         }
-        other => return Err(format!("unknown protocol '{other}' (see cil help)")),
+        other => match parse_family(other, &[])? {
+            Some(Family::N(n)) => Auditor::new(&NUnbounded::new(n))
+                .with_packable()
+                .with_max_states(UNBOUNDED_WALK_STATES)
+                .run(),
+            // KReg cannot implement Packable (Inner/Cand words are
+            // ambiguous on unpack), so the packer is supplied by hand:
+            // the same encoding the register specs' widths were sized for.
+            Some(Family::KValued(k)) => Auditor::new(&KValued::new(TwoProcessor::new(), k))
+                .with_inputs((0..k).map(Val))
+                .with_packer(|r: &KReg<cil_core::two::TwoReg>| match r {
+                    KReg::Inner(inner) => inner.pack(),
+                    KReg::Cand(c) => c.map_or(0, |v| v + 1),
+                })
+                .run(),
+            None => return Err(unknown_protocol(other)),
+        },
     })
 }
 
@@ -719,29 +743,6 @@ fn lint_one(spec: &str) -> Result<(LintReport, FootprintTable), String> {
             let rule = parse_rule(&s["det:".len()..])?;
             lint_with_footprints(&Auditor::new(&DetTwo::new(rule)).with_packable())
         }
-        s if s.starts_with("n:") => {
-            let n: usize = s[2..]
-                .parse()
-                .map_err(|_| format!("bad processor count in '{s}'"))?;
-            lint_with_footprints(
-                &Auditor::new(&NUnbounded::new(n))
-                    .with_packable()
-                    .with_max_states(UNBOUNDED_WALK_STATES),
-            )
-        }
-        s if s.starts_with("kvalued:") => {
-            let k: u64 = s["kvalued:".len()..]
-                .parse()
-                .map_err(|_| format!("bad k in '{s}'"))?;
-            lint_with_footprints(
-                &Auditor::new(&KValued::new(TwoProcessor::new(), k))
-                    .with_inputs((0..k.max(2)).map(Val))
-                    .with_packer(|r: &KReg<cil_core::two::TwoReg>| match r {
-                        KReg::Inner(inner) => inner.pack(),
-                        KReg::Cand(c) => c.map_or(0, |v| v + 1),
-                    }),
-            )
-        }
         s if s.starts_with("mutant:") => {
             let key = &s["mutant:".len()..];
             if let Some(kind) = LintMutant::parse(key) {
@@ -752,7 +753,22 @@ fn lint_one(spec: &str) -> Result<(LintReport, FootprintTable), String> {
                 return Err(unknown_mutant(s));
             }
         }
-        other => return Err(format!("unknown protocol '{other}' (see cil help)")),
+        other => match parse_family(other, &[])? {
+            Some(Family::N(n)) => lint_with_footprints(
+                &Auditor::new(&NUnbounded::new(n))
+                    .with_packable()
+                    .with_max_states(UNBOUNDED_WALK_STATES),
+            ),
+            Some(Family::KValued(k)) => lint_with_footprints(
+                &Auditor::new(&KValued::new(TwoProcessor::new(), k))
+                    .with_inputs((0..k).map(Val))
+                    .with_packer(|r: &KReg<cil_core::two::TwoReg>| match r {
+                        KReg::Inner(inner) => inner.pack(),
+                        KReg::Cand(c) => c.map_or(0, |v| v + 1),
+                    }),
+            ),
+            None => return Err(unknown_protocol(other)),
+        },
     })
 }
 
@@ -832,23 +848,15 @@ macro_rules! with_prove_protocol {
                 let rule = parse_rule(&s["det:".len()..]).map_err(CliFailure::Usage)?;
                 $f(&DetTwo::new(rule), &PackCodec, args)
             }
-            s if s.starts_with("n:") => {
-                let n: usize = s[2..]
-                    .parse()
-                    .map_err(|_| CliFailure::Usage(format!("bad processor count in '{s}'")))?;
-                $f(&NUnbounded::new(n), &PackCodec, args)
-            }
-            s if s.starts_with("kvalued:") => {
-                let k: u64 = s["kvalued:".len()..]
-                    .parse()
-                    .map_err(|_| CliFailure::Usage(format!("bad k in '{s}'")))?;
-                let p = KValued::new(TwoProcessor::new(), k);
-                let codec = KRegCodec::for_protocol(&p);
-                $f(&p, &codec, args)
-            }
-            other => Err(CliFailure::Usage(format!(
-                "unknown protocol '{other}' (see cil help)"
-            ))),
+            other => match parse_family(other, &parse_inputs(args.get_or("domain", ""))?)? {
+                Some(Family::N(n)) => $f(&NUnbounded::new(n), &PackCodec, args),
+                Some(Family::KValued(k)) => {
+                    let p = KValued::new(TwoProcessor::new(), k);
+                    let codec = KRegCodec::for_protocol(&p);
+                    $f(&p, &codec, args)
+                }
+                None => Err(CliFailure::Usage(unknown_protocol(other))),
+            },
         }
     }};
 }
@@ -1173,7 +1181,6 @@ where
     }
     let depth = args.get_u64("depth", 10)? as usize;
     let max_configs = args.get_u64("max-configs", 3_000_000)? as usize;
-    let jobs = args.get_u64("jobs", 0)? as usize;
     let timings = timings_flag(args)?;
     let registry = Registry::new();
     let reporter = args.flag("progress").then(|| LevelReporter::new("check"));
@@ -1197,26 +1204,13 @@ where
             *last = std::time::Instant::now();
         }
     };
-    let observe_levels = reporter.is_some() || level_clock.is_some();
-    let (report, compact_stats) = if args.flag("compat-dense") {
-        let mut explorer = Explorer::new(protocol, &inputs)
-            .max_depth(depth)
-            .max_configs(max_configs)
-            .jobs(jobs);
-        if observe_levels {
-            explorer = explorer.on_level(|l| track(l.depth, l.frontier, l.generated, l.fresh));
-        }
-        (explorer.par_run(), None)
-    } else {
-        let mut explorer = CompactExplorer::new(protocol, &inputs)
-            .max_depth(depth)
-            .max_configs(max_configs);
-        if observe_levels {
-            explorer = explorer.on_level(|l| track(l.depth, l.frontier, l.generated, l.fresh));
-        }
-        let (report, stats) = explorer.run_with_stats();
-        (report, Some(stats))
-    };
+    let mut explorer = CompactExplorer::new(protocol, &inputs)
+        .max_depth(depth)
+        .max_configs(max_configs);
+    if reporter.is_some() || level_clock.is_some() {
+        explorer = explorer.on_level(|l| track(l.depth, l.frontier, l.generated, l.fresh));
+    }
+    let (report, cs) = explorer.run_with_stats();
     registry
         .counter("check.configs")
         .add(report.explored as u64);
@@ -1233,10 +1227,8 @@ where
         fresh_series.push(l.fresh as u64);
         generated_series.push(l.generated as u64);
     }
-    if let Some(cs) = &compact_stats {
-        registry.gauge("check.classes").set(cs.classes as u64);
-        registry.counter("check.sym_hits").add(cs.sym_hits);
-    }
+    registry.gauge("check.classes").set(cs.classes as u64);
+    registry.counter("check.sym_hits").add(cs.sym_hits);
     write_metrics_out(args, &registry)?;
     let mut s = format!(
         "exhaustive check of {} to depth {}\n{} configurations explored \
@@ -1252,14 +1244,12 @@ where
             "VIOLATIONS FOUND — see above"
         }
     );
-    if let Some(cs) = &compact_stats {
-        let _ = writeln!(
-            s,
-            "symmetry-reduced: {} canonical classes ({} orbit hits; \
-             {} state / {} register words interned)",
-            cs.classes, cs.sym_hits, cs.interned_states, cs.interned_regs
-        );
-    }
+    let _ = writeln!(
+        s,
+        "symmetry-reduced: {} canonical classes ({} orbit hits; \
+         {} state / {} register words interned)",
+        cs.classes, cs.sym_hits, cs.interned_states, cs.interned_regs
+    );
     if args.flag("stats") {
         let _ = writeln!(s, "\nlevel  frontier  generated  fresh  dedup-hit");
         for l in &report.levels {
@@ -1286,11 +1276,8 @@ pub fn check(args: &Args) -> Result<String, String> {
     with_protocol!(args, check_one)
 }
 
-/// `cil mdp` — exact Theorem 7 analysis of the two-processor protocol.
-///
-/// Runs on the hash-consed, symmetry-reduced backend by default;
-/// `--compat-dense` switches to the original dense solver (identical
-/// numbers, more enumerated states).
+/// `cil mdp` — exact Theorem 7 analysis of the two-processor protocol, on
+/// the hash-consed, symmetry-reduced backend.
 pub fn mdp(args: &Args) -> Result<String, String> {
     let inputs = parse_inputs(args.get_or("inputs", "a,b"))?;
     if inputs.len() != 2 {
@@ -1306,65 +1293,42 @@ pub fn mdp(args: &Args) -> Result<String, String> {
     };
     let p = TwoProcessor::new();
     let root = timer.enter("mdp");
-    let (header, steps, total, curve, compact) = if args.flag("compat-dense") {
-        let solver = {
-            let _g = timer.enter("build");
-            MdpSolver::build(&p, &inputs, 1_000_000)
-        };
-        let (steps, total) = {
-            let _g = timer.enter("solve");
-            (
-                solver.expected_steps(&p, Objective::StepsOf(0), 1e-12, 100_000),
-                solver.expected_steps(&p, Objective::TotalSteps, 1e-12, 100_000),
-            )
-        };
-        let curve = {
-            let _g = timer.enter("survival");
-            solver.survival(&p, 0, kmax, 1e-13, 200_000)
-        };
-        let header = format!("configuration space: {} states (dense)", solver.size());
-        (header, steps, total, curve, None)
-    } else {
-        // The per-processor objective constrains which symmetries apply, so
-        // the P0 analysis and the total-steps analysis quotient differently.
-        let (p0, any) = {
-            let _g = timer.enter("build");
-            let p0 = CompactMdp::build(
-                &p,
-                &inputs,
-                &CompactOptions {
-                    target: Some(0),
-                    ..CompactOptions::default()
-                },
-            )?;
-            let any = CompactMdp::build(&p, &inputs, &CompactOptions::default())?;
-            (p0, any)
-        };
-        let (steps, total) = {
-            let _g = timer.enter("solve");
-            (
-                p0.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, jobs),
-                any.expected_steps(Objective::TotalSteps, 1e-12, 100_000, jobs),
-            )
-        };
-        let curve = {
-            let _g = timer.enter("survival");
-            p0.survival(0, kmax, 1e-13, 200_000, jobs)
-        };
-        let header = format!(
-            "configuration space: {} canonical classes (P0 objective), \
-             {} (any-processor objective)",
-            p0.size(),
-            any.size()
-        );
-        (header, steps, total, curve, Some(p0))
+    // The per-processor objective constrains which symmetries apply, so
+    // the P0 analysis and the total-steps analysis quotient differently.
+    let (p0, any) = {
+        let _g = timer.enter("build");
+        let p0 = CompactMdp::build(
+            &p,
+            &inputs,
+            &CompactOptions {
+                target: Some(0),
+                ..CompactOptions::default()
+            },
+        )?;
+        let any = CompactMdp::build(&p, &inputs, &CompactOptions::default())?;
+        (p0, any)
     };
+    let (steps, total) = {
+        let _g = timer.enter("solve");
+        (
+            p0.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, jobs),
+            any.expected_steps(Objective::TotalSteps, 1e-12, 100_000, jobs),
+        )
+    };
+    let curve = {
+        let _g = timer.enter("survival");
+        p0.survival(0, kmax, 1e-13, 200_000, jobs)
+    };
+    let header = format!(
+        "configuration space: {} canonical classes (P0 objective), \
+         {} (any-processor objective)",
+        p0.size(),
+        any.size()
+    );
     drop(root);
     let registry = Registry::new();
     registry.merge_spans(&timer.finish());
-    if let Some(m) = &compact {
-        m.export_metrics(&registry);
-    }
+    p0.export_metrics(&registry);
     registry
         .gauge("mdp.iterations")
         .set(steps.iterations as u64);
@@ -1446,43 +1410,27 @@ fn survival_one<P: Symmetric>(protocol: &P, args: &Args) -> Result<String, Strin
     let registry = Registry::new();
     let mut s = String::new();
     let root = timer.enter("survival");
-    let curve = if args.flag("compat-dense") {
-        let solver = {
-            let _g = timer.enter("build");
-            match depth {
-                Some(d) => MdpSolver::build_bounded(protocol, &inputs, max_configs, d),
-                None => MdpSolver::build(protocol, &inputs, max_configs),
-            }
-        };
-        let _ = writeln!(
-            s,
-            "{}: {} states (dense), target P{target}",
-            protocol.name(),
-            solver.size()
-        );
-        let _g = timer.enter("curve");
-        solver.survival(protocol, target, kmax, 1e-13, 200_000)
-    } else {
-        let opts = CompactOptions {
-            max_configs,
-            max_depth: depth,
-            target: Some(target),
-            ..CompactOptions::default()
-        };
-        let mdp = {
-            let _g = timer.enter("build");
-            CompactMdp::build(protocol, &inputs, &opts)
-                .map_err(|e| format!("{e} — unbounded protocols need --depth (see cil help)"))?
-        };
-        let stats = *mdp.stats();
-        let _ = writeln!(
-            s,
-            "{}: {} canonical classes ({} orbit hits), target P{target}",
-            protocol.name(),
-            mdp.size(),
-            stats.sym_hits
-        );
-        mdp.export_metrics(&registry);
+    let opts = CompactOptions {
+        max_configs,
+        max_depth: depth,
+        target: Some(target),
+        ..CompactOptions::default()
+    };
+    let mdp = {
+        let _g = timer.enter("build");
+        CompactMdp::build(protocol, &inputs, &opts)
+            .map_err(|e| format!("{e} — unbounded protocols need --depth (see cil help)"))?
+    };
+    let stats = *mdp.stats();
+    let _ = writeln!(
+        s,
+        "{}: {} canonical classes ({} orbit hits), target P{target}",
+        protocol.name(),
+        mdp.size(),
+        stats.sym_hits
+    );
+    mdp.export_metrics(&registry);
+    let curve = {
         let _g = timer.enter("curve");
         mdp.survival(target, kmax, 1e-13, 200_000, jobs)
     };
@@ -1507,8 +1455,7 @@ fn survival_one<P: Symmetric>(protocol: &P, args: &Args) -> Result<String, Strin
 }
 
 /// `cil survival` — exact worst-case survival curve for any protocol, on
-/// the compact symmetry-reduced backend (or the dense solver with
-/// `--compat-dense`). Protocols with infinite reachable spaces (`fig2`,
+/// the compact symmetry-reduced backend. Protocols with infinite reachable spaces (`fig2`,
 /// `fig3`, `n:<count>`) need `--depth`.
 pub fn survival(args: &Args) -> Result<String, String> {
     with_protocol!(args, survival_one)
@@ -1615,16 +1562,13 @@ pub fn threads(args: &Args) -> Result<String, String> {
         "fig2" => threads_one(&NUnbounded::three(), args),
         "fig2-1w1r" => threads_one(&NUnbounded1W1R::three(), args),
         "fig3" => threads_one(&ThreeBounded::new(), args),
-        s if s.starts_with("n:") => {
-            let n: usize = s[2..]
-                .parse()
-                .map_err(|_| format!("bad processor count in '{s}'"))?;
-            threads_one(&NUnbounded::new(n), args)
-        }
-        other => Err(format!(
-            "protocol '{other}' does not support the threads backend \
-             (word-packable registers required)"
-        )),
+        other => match parse_family(other, &[])? {
+            Some(Family::N(n)) => threads_one(&NUnbounded::new(n), args),
+            _ => Err(format!(
+                "protocol '{other}' does not support the threads backend \
+                 (word-packable registers required)"
+            )),
+        },
     }
 }
 
@@ -1637,7 +1581,8 @@ macro_rules! with_conc_protocol {
     ($args:expr, $f:ident) => {{
         let args = $args;
         let spec = conc_protocol_spec(args);
-        let n_inputs = parse_inputs(args.get_or("inputs", ""))?.len();
+        let inputs = parse_inputs(args.get_or("inputs", ""))?;
+        let n_inputs = inputs.len();
         match spec {
             "two" => $f(&TwoProcessor::new(), &PackCodec, args),
             "fig2" => $f(&NUnbounded::three(), &PackCodec, args),
@@ -1650,31 +1595,22 @@ macro_rules! with_conc_protocol {
                 let rule = parse_rule(&s["det:".len()..])?;
                 $f(&DetTwo::new(rule), &PackCodec, args)
             }
-            s if s.starts_with("n:") => {
-                let n: usize = s[2..]
-                    .parse()
-                    .map_err(|_| format!("bad processor count in '{s}'"))?;
-                $f(&NUnbounded::new(n), &PackCodec, args)
-            }
-            s if s.starts_with("kvalued:") => {
-                let k: u64 = s["kvalued:".len()..]
-                    .parse()
-                    .map_err(|_| format!("bad k in '{s}'"))?;
+            other => match parse_family(other, &inputs)? {
+                Some(Family::N(n)) => $f(&NUnbounded::new(n), &PackCodec, args),
                 // KReg has no uniform Packable encoding; the per-register
                 // codec mirrors the audit packer (None -> 0, Some(v) -> v+1).
-                if n_inputs <= 2 {
+                Some(Family::KValued(k)) if n_inputs <= 2 => {
                     let p = KValued::new(TwoProcessor::new(), k);
                     let codec = KRegCodec::for_protocol(&p);
                     $f(&p, &codec, args)
-                } else {
+                }
+                Some(Family::KValued(k)) => {
                     let p = KValued::new(NUnbounded::new(n_inputs), k);
                     let codec = KRegCodec::for_protocol(&p);
                     $f(&p, &codec, args)
                 }
-            }
-            other => Err(CliFailure::Usage(format!(
-                "unknown protocol '{other}' (see cil help)"
-            ))),
+                None => Err(unknown_protocol(other).into()),
+            },
         }
     }};
 }
@@ -1727,7 +1663,8 @@ macro_rules! with_serve_protocol {
     ($args:expr, $f:ident) => {{
         let args = $args;
         let spec = serve_protocol_spec(args);
-        let n_inputs = parse_inputs(args.get_or("inputs", ""))?.len();
+        let inputs = parse_inputs(args.get_or("inputs", ""))?;
+        let n_inputs = inputs.len();
         match spec {
             "two" => $f(&TwoProcessor::new(), &PackCodec, args),
             "fig2" => $f(&NUnbounded::three(), &PackCodec, args),
@@ -1739,27 +1676,22 @@ macro_rules! with_serve_protocol {
                 let rule = parse_rule(&s["det:".len()..])?;
                 $f(&DetTwo::new(rule), &PackCodec, args)
             }
-            s if s.starts_with("n:") => {
-                let n: usize = s[2..]
-                    .parse()
-                    .map_err(|_| format!("bad processor count in '{s}'"))?;
-                $f(&NUnbounded::new(n), &PackCodec, args)
-            }
-            s if s.starts_with("kvalued:") => {
-                let k: u64 = s["kvalued:".len()..]
-                    .parse()
-                    .map_err(|_| format!("bad k in '{s}'"))?;
-                if n_inputs <= 2 {
+            other => match parse_family(other, &inputs)? {
+                Some(Family::N(n)) => $f(&NUnbounded::new(n), &PackCodec, args),
+                // KReg has no uniform Packable encoding; the per-register
+                // codec mirrors the audit packer (None -> 0, Some(v) -> v+1).
+                Some(Family::KValued(k)) if n_inputs <= 2 => {
                     let p = KValued::new(TwoProcessor::new(), k);
                     let codec = KRegCodec::for_protocol(&p);
                     $f(&p, &codec, args)
-                } else {
+                }
+                Some(Family::KValued(k)) => {
                     let p = KValued::new(NUnbounded::new(n_inputs), k);
                     let codec = KRegCodec::for_protocol(&p);
                     $f(&p, &codec, args)
                 }
-            }
-            other => Err(format!("unknown protocol '{other}' (see cil help)")),
+                None => Err(unknown_protocol(other).into()),
+            },
         }
     }};
 }

@@ -14,7 +14,7 @@
 //! cil sweep     --protocol fig2 --inputs a,b,a --trials 10000 --seed 7 --jobs 4
 //!               [--progress] [--metrics-out m.json] [--metrics-format json|openmetrics]
 //!               [--timings]
-//! cil check     --protocol fig3 --inputs a,b,a --depth 11 --jobs 4 [--stats]
+//! cil check     --protocol fig3 --inputs a,b,a --depth 11 [--stats]
 //! cil mdp       --inputs a,b [--kmax 20]
 //! cil survival  --protocol two --inputs a,b --target 0 --kmax 20
 //! cil theorem4  --rule always-adopt --steps 100000
@@ -96,7 +96,6 @@ pub fn dispatch_full<I: IntoIterator<Item = String>>(tokens: I) -> Result<String
             "progress",
             "stats",
             "audit",
-            "compat-dense",
             "naive",
             "no-hunt",
             "cross-check",
@@ -183,7 +182,6 @@ mod tests {
             "--flame",
             "--progress",
             "--stats",
-            "--compat-dense",
             "--json",
             "--footprints",
             "--static-indep",
@@ -290,13 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn check_is_jobs_invariant() {
-        let serial = dispatch(toks("check --protocol two --inputs a,b --jobs 1")).unwrap();
-        let par = dispatch(toks("check --protocol two --inputs a,b --jobs 4")).unwrap();
-        assert_eq!(serial, par);
-    }
-
-    #[test]
     fn sweep_reports_stats_and_is_jobs_invariant() {
         let serial = dispatch(toks(
             "sweep --protocol two --inputs a,b --trials 200 --seed 9 --jobs 1",
@@ -350,27 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn mdp_compat_dense_reports_the_same_bound() {
-        let compact = dispatch(toks("mdp --inputs a,b")).unwrap();
-        let dense = dispatch(toks("mdp --inputs a,b --compat-dense")).unwrap();
-        assert!(dense.contains("10.00"), "{dense}");
-        // Everything below the state-count header is numerically identical.
-        let body = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(body(&compact), body(&dense));
-    }
-
-    #[test]
-    fn check_compat_dense_agrees_with_the_compact_default() {
-        let compact = dispatch(toks("check --protocol two --inputs a,b")).unwrap();
-        let dense = dispatch(toks("check --protocol two --inputs a,b --compat-dense")).unwrap();
-        for out in [&compact, &dense] {
-            assert!(out.contains("violations: 0"), "{out}");
-            assert!(out.contains("consistency and nontriviality hold"), "{out}");
-        }
-        assert!(compact.contains("symmetry-reduced"), "{compact}");
-    }
-
-    #[test]
     fn survival_pins_the_corollary_curve() {
         let out = dispatch(toks("survival --protocol two --inputs a,b --kmax 6")).unwrap();
         // P0 cannot decide before its 4th step; from there the worst-case
@@ -381,8 +351,8 @@ mod tests {
     }
 
     #[test]
-    fn survival_matches_compat_dense_and_jobs_are_invisible() {
-        let compact = dispatch(toks(
+    fn survival_is_jobs_invariant() {
+        let parallel = dispatch(toks(
             "survival --protocol kvalued:4 --inputs 0,3 --kmax 6 --jobs 8",
         ))
         .unwrap();
@@ -390,18 +360,7 @@ mod tests {
             "survival --protocol kvalued:4 --inputs 0,3 --kmax 6 --jobs 1",
         ))
         .unwrap();
-        assert_eq!(compact, serial);
-        let dense = dispatch(toks(
-            "survival --protocol kvalued:4 --inputs 0,3 --kmax 6 --compat-dense",
-        ))
-        .unwrap();
-        let curve = |s: &str| {
-            s.lines()
-                .filter(|l| l.trim_start().starts_with("k ="))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(curve(&compact), curve(&dense));
+        assert_eq!(parallel, serial);
     }
 
     #[test]
@@ -494,6 +453,68 @@ mod tests {
     fn bad_adversary_is_reported() {
         let e = dispatch(toks("run --protocol two --inputs a,b --adversary bogus")).unwrap_err();
         assert!(e.contains("adversary"), "{e}");
+    }
+
+    #[test]
+    fn bad_protocol_parameters_exit_2_with_a_message() {
+        // (command line, expected fragment of the message)
+        let cases = [
+            ("run --protocol n:0 --inputs a,b", "at least two processors"),
+            ("run --protocol n:1 --inputs a,b", "at least two processors"),
+            (
+                "run --protocol kvalued:0 --inputs 0,1",
+                "at least two values",
+            ),
+            (
+                "run --protocol kvalued:1 --inputs 0,1",
+                "at least two values",
+            ),
+            ("run --protocol kvalued:4 --inputs 0,4", "outside 0..4"),
+            ("run --protocol n:x --inputs a,b", "bad processor count"),
+            (
+                "sweep --protocol n:1 --inputs a,b --trials 3",
+                "two processors",
+            ),
+            (
+                "sweep --protocol kvalued:1 --inputs 0,1 --trials 3",
+                "two values",
+            ),
+            ("check --protocol kvalued:3 --inputs 0,1,5", "outside 0..3"),
+            ("survival --protocol kvalued:4 --inputs 0,9", "outside 0..4"),
+            ("audit n:0", "two processors"),
+            ("audit kvalued:1", "two values"),
+            ("lint n:1", "two processors"),
+            ("prove kvalued:0", "two values"),
+            ("prove kvalued:2 --domain 0,5", "outside 0..2"),
+            ("threads --protocol n:1 --inputs a,b", "two processors"),
+            ("serve n:0 --instances 3 --out none", "two processors"),
+            ("serve kvalued:1 --instances 3 --out none", "two values"),
+            ("serve kvalued:4 --inputs 0,7 --out none", "outside 0..4"),
+            (
+                "conc stress --protocol n:1 --inputs a,b --trials 2",
+                "two processors",
+            ),
+            ("conc explore kvalued:4 --inputs 0,7", "outside 0..4"),
+        ];
+        for (line, fragment) in cases {
+            let err = dispatch_full(toks(line)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{line}: {err:?}");
+            assert!(err.message().contains(fragment), "{line}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn zero_budget_native_runs_report_the_budget() {
+        // Nobody can decide in 0 steps: the exploration is clean and
+        // truncated, and the stress batch counts every trial undecided.
+        let out = dispatch_full(toks("conc explore two --inputs a,b --depth-bound 0")).unwrap();
+        assert!(out.contains("0 complete, 1 truncated"), "{out}");
+        assert!(out.contains("0 violations"), "{out}");
+        let out = dispatch_full(toks(
+            "conc stress --protocol two --inputs a,b --budget 0 --trials 3",
+        ))
+        .unwrap();
+        assert!(out.contains("decided: 0   undecided: 3"), "{out}");
     }
 
     #[test]

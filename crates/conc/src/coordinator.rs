@@ -18,7 +18,7 @@
 //! unchanged.
 
 use crate::strategy::Strategy;
-use cil_obs::{CoinStage, OpKind, RunEvent};
+use cil_obs::RunEvent;
 use cil_sim::{StepRecord, ThreadGate};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -274,41 +274,7 @@ impl ThreadGate for Coordinator {
         st.strategy.observe(record.pid, record.reg.0, record.write);
         let index = st.step;
         if let Some(events) = st.events.as_mut() {
-            let pid = record.pid;
-            if let Some(branches) = record.choose_branches {
-                events.push(RunEvent::CoinFlip {
-                    index,
-                    pid,
-                    stage: CoinStage::Choose,
-                    branches,
-                });
-            }
-            if let Some(branches) = record.transit_branches {
-                events.push(RunEvent::CoinFlip {
-                    index,
-                    pid,
-                    stage: CoinStage::Transit,
-                    branches,
-                });
-            }
-            events.push(RunEvent::Step {
-                index,
-                pid,
-                op: if record.write {
-                    OpKind::Write
-                } else {
-                    OpKind::Read
-                },
-                reg: record.reg.0,
-                value: format!("{:?}", record.value),
-            });
-            if let Some(v) = record.decision {
-                events.push(RunEvent::Decision {
-                    index,
-                    pid,
-                    value: v.0,
-                });
-            }
+            record.emit_events(index, |e| events.push(e));
         }
         st.schedule.push(record.pid);
         st.step += 1;

@@ -475,15 +475,13 @@ impl Tally {
             },
         }
         self.digest ^= exec_hash(outcome, trace);
-        let violating = matches!(
-            classify(outcome).outcome,
-            TrialOutcome::Inconsistent | TrialOutcome::Trivial
-        );
+        let kind = classify(outcome).outcome;
+        let violating = matches!(kind, TrialOutcome::Inconsistent | TrialOutcome::Trivial);
         if violating {
             self.violations += 1;
             if self.samples.len() < sample_cap {
                 self.samples.push(DporViolation {
-                    kind: classify(outcome).outcome,
+                    kind,
                     schedule: outcome.schedule.clone(),
                     decisions: outcome.decisions.clone(),
                     total_steps: outcome.total_steps,
@@ -823,16 +821,6 @@ where
     units
 }
 
-fn effective_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-}
-
 /// Expands every frontier unit (workers pull from a shared queue) and merges
 /// all units in discovery order — a jobs-invariant fold.
 fn run_units<P, C>(ctx: &Ctx<'_, P, C>, units: Vec<Unit>, jobs: usize) -> (Tally, u64)
@@ -851,7 +839,7 @@ where
     let frontier_count = roots.len() as u64;
     let results: Vec<Mutex<Option<Tally>>> = roots.iter().map(|_| Mutex::new(None)).collect();
     if !roots.is_empty() {
-        let workers = effective_jobs(jobs).min(roots.len());
+        let workers = cil_sim::resolve_jobs(jobs).min(roots.len());
         let next = AtomicUsize::new(0);
         std::thread::scope(|sc| {
             let roots = &roots;

@@ -134,6 +134,18 @@ mod tests {
     }
 
     #[test]
+    fn zero_budget_halts_on_budget_with_nobody_decided() {
+        let p = TwoProcessor::new();
+        let out = ControlledRun::new(&p, &[Val::A, Val::B])
+            .budget(0)
+            .run(Box::new(RandomWalk::new(0)));
+        assert_eq!(out.halt, ConcHalt::Budget);
+        assert_eq!(out.total_steps, 0);
+        assert_eq!(out.decisions, vec![None, None]);
+        assert_eq!(classify(&out).outcome, cil_sim::TrialOutcome::Undecided);
+    }
+
+    #[test]
     fn stress_digest_is_jobs_invariant() {
         let p = TwoProcessor::new();
         let cfg = |jobs| StressConfig {

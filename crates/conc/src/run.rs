@@ -4,7 +4,7 @@ use crate::coordinator::{ConcHalt, Coordinator, ThreadTimes};
 use crate::strategy::Strategy;
 use cil_obs::RunEvent;
 use cil_registers::Packable;
-use cil_sim::{run_on_threads_gated, PackCodec, Protocol, Val, WordCodec};
+use cil_sim::{run_on_threads_gated, PackCodec, Protocol, Val, Verdict, WordCodec};
 
 /// Builder for a controlled native run of one protocol.
 ///
@@ -81,11 +81,13 @@ where
         let n = self.protocol.processes();
         let coordinator =
             Coordinator::new(n, self.budget, strategy, self.capture).with_timing(timed);
+        // The coordinator owns the budget, so even at budget 0 every
+        // undecided thread reaches the gate and the run halts on `Budget`.
         let out = run_on_threads_gated(
             self.protocol,
             self.inputs,
             self.seed,
-            self.budget,
+            u64::MAX,
             codec,
             &coordinator,
         );
@@ -157,43 +159,31 @@ pub struct ConcOutcome {
 }
 
 impl ConcOutcome {
+    /// The run's [`Verdict`] over its decisions, inputs and step counts.
+    pub fn verdict(&self) -> Verdict {
+        Verdict::new(self.decisions.iter().copied(), &self.inputs, &self.steps)
+    }
+
     /// The common decided value, if every processor decided on one value.
     pub fn agreement(&self) -> Option<Val> {
-        let first = self.decisions.first().copied().flatten()?;
-        self.decisions
-            .iter()
-            .all(|d| *d == Some(first))
-            .then_some(first)
+        self.verdict().unanimous()
     }
 
     /// Paper requirement 1 (consistency): no two processors decided
     /// different values. Vacuously true while undecided.
     pub fn consistent(&self) -> bool {
-        let mut seen: Option<Val> = None;
-        for d in self.decisions.iter().flatten() {
-            match seen {
-                None => seen = Some(*d),
-                Some(v) if v != *d => return false,
-                Some(_) => {}
-            }
-        }
-        true
+        self.verdict().consistent
     }
 
     /// Paper requirement 2 (nontriviality): every decided value is the
     /// input of some processor that took at least one step.
     pub fn nontrivial(&self) -> bool {
-        self.decisions.iter().flatten().all(|d| {
-            self.inputs
-                .iter()
-                .zip(&self.steps)
-                .any(|(input, &steps)| input == d && steps > 0)
-        })
+        self.verdict().nontrivial
     }
 
     /// Whether every processor decided.
     pub fn all_decided(&self) -> bool {
-        self.decisions.iter().all(Option::is_some)
+        self.verdict().all_decided
     }
 
     /// The captured events as JSON lines (one per event, no trailing

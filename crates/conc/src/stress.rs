@@ -15,8 +15,7 @@ use crate::strategy::StrategySpec;
 use cil_obs::metrics::{LogHistogram, Registry};
 use cil_registers::Packable;
 use cil_sim::{
-    PackCodec, Protocol, Rng, SweepObserver, SweepStats, TrialOutcome, TrialResult, TrialSweep,
-    Val, WordCodec,
+    PackCodec, Protocol, Rng, SweepObserver, SweepStats, TrialResult, TrialSweep, Val, WordCodec,
 };
 use std::sync::Arc;
 
@@ -93,18 +92,10 @@ impl Default for StressConfig {
 /// The schedule is always attached, so failure samples carry their exact
 /// repro.
 pub fn classify(outcome: &ConcOutcome) -> TrialResult {
-    let classified = if !outcome.consistent() {
-        TrialOutcome::Inconsistent
-    } else if !outcome.nontrivial() {
-        TrialOutcome::Trivial
-    } else if !outcome.all_decided() {
-        TrialOutcome::Undecided
-    } else {
-        TrialOutcome::Decided
-    };
+    let verdict = outcome.verdict();
     TrialResult {
         metric: outcome.total_steps,
-        outcome: classified,
+        outcome: verdict.outcome(!verdict.all_decided),
         flagged: false,
         schedule: Some(outcome.schedule.clone()),
     }

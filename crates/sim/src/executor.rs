@@ -1,25 +1,28 @@
 //! The run executor: protocol × adversary × inputs × seed → outcome.
 //!
 //! [`Runner`] executes the paper's step semantics exactly: the adversary
-//! picks an eligible processor from its omniscient [`View`]; the processor's
+//! picks an eligible processor from its omniscient [`View`], and the
+//! processor takes one [`kernel::step`] against the [`SharedMemory`]: its
 //! next operation is sampled from `choose` (coin flips are invisible to the
-//! adversary until taken), applied atomically to the [`SharedMemory`], and
-//! the state transition sampled from `transit`. A processor that reaches a
-//! decision state "quits" — it is never scheduled again, matching the
-//! paper's protocols which all end with "decide … and quit".
+//! adversary until taken), applied atomically, and the state transition
+//! sampled from `transit`. A processor that reaches a decision state
+//! "quits" — it is never scheduled again, matching the paper's protocols
+//! which all end with "decide … and quit".
 //!
-//! The executor also enforces, at run time, the two safety clauses of the
-//! coordination problem on the outcome ([`RunOutcome::agreement`],
-//! [`RunOutcome::nontrivial`]), and supports fail-stop fault injection via
-//! [`CrashPlan`].
+//! The outcome reports the two safety clauses of the coordination problem
+//! through its [`Verdict`] ([`RunOutcome::consistent`],
+//! [`RunOutcome::nontrivial`]), and the executor supports fail-stop fault
+//! injection via [`CrashPlan`].
 
 use crate::adversary::{Adversary, View};
 use crate::faults::CrashPlan;
-use crate::protocol::{Choice, Op, Protocol, Val};
+use crate::kernel;
+use crate::protocol::{Protocol, Val};
 use crate::rng::Xoshiro256StarStar;
 use crate::trace::{Event, Trace};
-use cil_obs::{CoinStage, EventSink, OpKind, RunEvent};
-use cil_registers::{Pid, SharedMemory};
+use crate::verdict::Verdict;
+use cil_obs::{EventSink, RunEvent};
+use cil_registers::SharedMemory;
 
 /// When the run loop halts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,44 +68,28 @@ pub struct RunOutcome<P: Protocol> {
 }
 
 impl<P: Protocol> RunOutcome<P> {
+    /// The run's [`Verdict`] over its decisions, inputs and step counts.
+    pub fn verdict(&self) -> Verdict {
+        Verdict::new(self.decisions.iter().copied(), &self.inputs, &self.steps)
+    }
+
     /// The agreed value, if all decided processors agree (and at least one
     /// decided). `None` means no decisions at all **or** disagreement; use
     /// [`RunOutcome::consistent`] to distinguish.
     pub fn agreement(&self) -> Option<Val> {
-        let mut agreed = None;
-        for d in self.decisions.iter().flatten() {
-            match agreed {
-                None => agreed = Some(*d),
-                Some(v) if v != *d => return None,
-                _ => {}
-            }
-        }
-        agreed
+        self.verdict().agreed
     }
 
     /// Consistency (paper requirement 1): no two processors decided
     /// different values.
     pub fn consistent(&self) -> bool {
-        let mut first = None;
-        for d in self.decisions.iter().flatten() {
-            match first {
-                None => first = Some(*d),
-                Some(v) if v != *d => return false,
-                _ => {}
-            }
-        }
-        true
+        self.verdict().consistent
     }
 
     /// Nontriviality (paper requirement 2): every decision value is the
     /// input of some processor that was activated in the run.
     pub fn nontrivial(&self) -> bool {
-        self.decisions.iter().flatten().all(|d| {
-            self.inputs
-                .iter()
-                .zip(&self.steps)
-                .any(|(input, &steps)| steps > 0 && input == d)
-        })
+        self.verdict().nontrivial
     }
 
     /// Whether every non-crashed processor decided.
@@ -220,9 +207,7 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
                 detail: protocol.name(),
             });
         }
-        let halt;
-
-        loop {
+        let halt = loop {
             // Fault injection due at this time.
             for pid in self.crash_plan.due(total) {
                 crashed[pid] = true;
@@ -235,82 +220,54 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
                 StopWhen::FirstDecision => (0..n).any(|i| decided(&states, i)),
             };
             if stop_met {
-                halt = Halt::Done;
-                break;
+                break Halt::Done;
             }
             if total >= self.max_steps {
-                halt = Halt::MaxSteps;
-                break;
+                break Halt::MaxSteps;
             }
             // If nobody is eligible but the stop condition is unmet (e.g.
             // waiting on a crashed pid), the run cannot proceed.
-            let any_eligible =
-                (0..n).any(|i| !crashed[i] && protocol.decision(&states[i]).is_none());
-            if !any_eligible {
-                halt = Halt::Done;
-                break;
+            let eligible = |i: usize| !crashed[i] && protocol.decision(&states[i]).is_none();
+            if !(0..n).any(eligible) {
+                break Halt::Done;
             }
 
-            // Adversary picks; snapshot view.
-            let pid = {
-                let view = View {
-                    protocol,
-                    states: &states,
-                    regs: memory.snapshot(),
-                    steps: &steps,
-                    crashed: &crashed,
-                    total_steps: total,
-                };
-                self.adversary.pick(&view)
-            };
+            // Adversary picks from a snapshot view.
+            let pid = self.adversary.pick(&View {
+                protocol,
+                states: &states,
+                regs: memory.snapshot(),
+                steps: &steps,
+                crashed: &crashed,
+                total_steps: total,
+            });
             assert!(
-                !crashed[pid] && protocol.decision(&states[pid]).is_none(),
+                eligible(pid),
                 "adversary picked ineligible processor P{pid}"
             );
 
-            // One step: sample op, apply, sample transition.
-            let choice = protocol.choose(pid, &states[pid]);
-            emit_coin(&mut sink, &choice, total, pid, CoinStage::Choose);
-            let op = choice.sample(&mut rng).clone();
-            let read_value = match &op {
-                Op::Read(r) => Some(
-                    memory
-                        .read(Pid(pid), *r)
-                        .expect("protocol read within its reader set")
-                        .clone(),
-                ),
-                Op::Write(r, v) => {
-                    memory
-                        .write(Pid(pid), *r, v.clone())
-                        .expect("protocol write to its own register");
-                    None
-                }
-            };
-            let transition = protocol.transit(pid, &states[pid], &op, read_value.as_ref());
-            emit_coin(&mut sink, &transition, total, pid, CoinStage::Transit);
-            let next = transition.sample(&mut rng).clone();
-            states[pid] = next;
+            let step = kernel::step(
+                protocol,
+                pid,
+                &mut states[pid],
+                &mut memory,
+                &mut rng,
+                |_, _| None,
+            );
             steps[pid] += 1;
             total += 1;
             if let Some(s) = sink.as_deref_mut() {
-                s.emit(&step_event(total - 1, pid, &op, read_value.as_ref()));
-                if let Some(v) = protocol.decision(&states[pid]) {
-                    s.emit(&RunEvent::Decision {
-                        index: total - 1,
-                        pid,
-                        value: v.0,
-                    });
-                }
+                step.record(pid).emit_events(total - 1, |e| s.emit(&e));
             }
             if let Some(t) = &mut trace {
                 t.push(Event {
                     index: total - 1,
                     pid,
-                    op,
-                    read: read_value,
+                    op: step.op,
+                    read: step.read,
                 });
             }
-        }
+        };
         if let Some(s) = sink {
             s.emit(&RunEvent::SpanEnd {
                 name: "run".into(),
@@ -334,59 +291,11 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
     }
 }
 
-/// Renders one executed step as a structured event. The value field is the
-/// written value for writes and the value read for reads, in the register
-/// type's `Debug` form — the same rendering every time, so captured streams
-/// are byte-for-byte reproducible.
-fn step_event<R: std::fmt::Debug>(
-    index: u64,
-    pid: usize,
-    op: &Op<R>,
-    read: Option<&R>,
-) -> RunEvent {
-    match op {
-        Op::Read(r) => RunEvent::Step {
-            index,
-            pid,
-            op: OpKind::Read,
-            reg: r.0,
-            value: read.map_or_else(|| "?".to_string(), |v| format!("{v:?}")),
-        },
-        Op::Write(r, v) => RunEvent::Step {
-            index,
-            pid,
-            op: OpKind::Write,
-            reg: r.0,
-            value: format!("{v:?}"),
-        },
-    }
-}
-
-/// Emits a coin-flip event if the choice is probabilistic.
-fn emit_coin<T>(
-    sink: &mut Option<&mut dyn EventSink>,
-    choice: &Choice<T>,
-    index: u64,
-    pid: usize,
-    stage: CoinStage,
-) {
-    if let Some(s) = sink.as_deref_mut() {
-        if !choice.is_det() {
-            s.emit(&RunEvent::CoinFlip {
-                index,
-                pid,
-                stage,
-                branches: choice.branches().len(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::{RandomScheduler, RoundRobin, Solo};
-    use crate::protocol::Choice;
+    use crate::protocol::{Choice, Op};
     use cil_registers::{ReaderSet, RegId, RegisterSpec};
 
     /// A toy protocol: each processor writes its input to its register,

@@ -13,6 +13,10 @@
 //! * [`rng`] — deterministic, version-pinned randomness;
 //! * [`adversary`] — the scheduler suite, from round-robin to adaptive
 //!   heuristics;
+//! * [`kernel`] — the one step function ([`step`]) every run loop calls,
+//!   over any [`RegisterStore`];
+//! * [`verdict`] — the one safety classifier ([`Verdict`]) every outcome
+//!   type reads;
 //! * [`executor`] — the serialized run loop ([`Runner`]) with crash
 //!   injection ([`faults`]) and trace recording ([`trace`]);
 //! * [`sweep`] — the parallel Monte-Carlo harness ([`TrialSweep`]), whose
@@ -60,11 +64,13 @@ pub mod adversary;
 pub mod executor;
 pub mod fairness;
 pub mod faults;
+pub mod kernel;
 pub mod protocol;
 pub mod rng;
 pub mod sweep;
 pub mod threads;
 pub mod trace;
+pub mod verdict;
 
 pub use adversary::{
     Adversary, BoxedAdversary, FixedSchedule, LaggardFirst, LeaderFirst, RandomScheduler,
@@ -73,6 +79,7 @@ pub use adversary::{
 pub use executor::{Halt, RunOutcome, Runner, StopWhen};
 pub use fairness::{is_k_fair, starvation_gaps, Alternator, PrefixThen};
 pub use faults::CrashPlan;
+pub use kernel::{step, RegisterStore, StepOutcome};
 pub use protocol::{Choice, Op, Protocol, Val};
 pub use rng::{Rng, ScriptedCoins, SplitMix64, Xoshiro256StarStar};
 pub use sweep::{
@@ -84,3 +91,4 @@ pub use threads::{
     ThreadOutcome, WordCodec,
 };
 pub use trace::{parse_schedule, Event, Trace};
+pub use verdict::Verdict;

@@ -113,23 +113,15 @@ pub struct TrialResult {
 }
 
 impl TrialResult {
-    /// Classifies a [`RunOutcome`] with `metric = total_steps`.
+    /// Classifies a [`RunOutcome`] by its [`Verdict`](crate::Verdict), with
+    /// `metric = total_steps`.
     ///
     /// Inconsistency dominates triviality; a run that halted on its step
     /// budget is `Undecided`; anything else is `Decided`.
     pub fn from_run<P: Protocol>(outcome: &RunOutcome<P>) -> Self {
-        let classified = if !outcome.consistent() {
-            TrialOutcome::Inconsistent
-        } else if !outcome.nontrivial() {
-            TrialOutcome::Trivial
-        } else if outcome.halt == Halt::MaxSteps {
-            TrialOutcome::Undecided
-        } else {
-            TrialOutcome::Decided
-        };
         TrialResult {
             metric: outcome.total_steps,
-            outcome: classified,
+            outcome: outcome.verdict().outcome(outcome.halt == Halt::MaxSteps),
             flagged: false,
             schedule: outcome.trace.as_ref().map(|t| t.schedule()),
         }

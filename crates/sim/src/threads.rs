@@ -9,7 +9,8 @@
 //! deterministic generator (per-run results are still randomized because the
 //! OS interleaving is).
 //!
-//! Two hooks make the step loop reusable beyond free-running stress:
+//! Each thread calls the shared [`kernel::step`] in a loop. Two hooks make
+//! that loop reusable beyond free-running stress:
 //!
 //! * [`WordCodec`] — how a register value maps to the raw `u64` word in its
 //!   cell. [`PackCodec`] covers every [`Packable`] register type; protocols
@@ -24,8 +25,11 @@
 //! thread can be blocked by another — every thread either decides, exhausts
 //! its own step budget, or is retired by its gate.
 
-use crate::protocol::{Op, Protocol, Val};
+use crate::kernel;
+use crate::protocol::{Protocol, Val};
 use crate::rng::{Rng, Xoshiro256StarStar};
+use crate::verdict::Verdict;
+use cil_obs::{CoinStage, OpKind, RunEvent};
 use cil_registers::{HwRegisterFile, Packable, Pid, RegId};
 use std::fmt;
 
@@ -76,6 +80,47 @@ pub struct StepRecord<'a> {
     pub transit_branches: Option<usize>,
     /// The processor's decision immediately after the step, if any.
     pub decision: Option<Val>,
+}
+
+impl StepRecord<'_> {
+    /// Emits the step's `cil-obs` events at step `index`, in stream order:
+    /// the choose and transit coin flips, the step, then the decision. The
+    /// value is rendered in its `Debug` form, the same every time, so
+    /// captured streams are byte-for-byte reproducible.
+    pub fn emit_events(&self, index: u64, mut emit: impl FnMut(RunEvent)) {
+        let pid = self.pid;
+        for (branches, stage) in [
+            (self.choose_branches, CoinStage::Choose),
+            (self.transit_branches, CoinStage::Transit),
+        ] {
+            if let Some(branches) = branches {
+                emit(RunEvent::CoinFlip {
+                    index,
+                    pid,
+                    stage,
+                    branches,
+                });
+            }
+        }
+        emit(RunEvent::Step {
+            index,
+            pid,
+            op: if self.write {
+                OpKind::Write
+            } else {
+                OpKind::Read
+            },
+            reg: self.reg.0,
+            value: format!("{:?}", self.value),
+        });
+        if let Some(v) = self.decision {
+            emit(RunEvent::Decision {
+                index,
+                pid,
+                value: v.0,
+            });
+        }
+    }
 }
 
 /// A yield point wrapped around every register operation of every thread.
@@ -160,11 +205,8 @@ pub struct ThreadOutcome {
 impl ThreadOutcome {
     /// Whether all threads decided on a single common value.
     pub fn agreed(&self) -> Option<Val> {
-        let first = self.decisions.first().copied().flatten()?;
-        self.decisions
-            .iter()
-            .all(|d| *d == Some(first))
-            .then_some(first)
+        // No inputs are kept here; agreement does not read them.
+        Verdict::new(self.decisions.iter().copied(), &[], &self.steps).unanimous()
     }
 }
 
@@ -207,10 +249,7 @@ where
     let mut seeder = Xoshiro256StarStar::new(seed);
     let seeds: Vec<u64> = (0..n).map(|_| seeder.next_u64()).collect();
 
-    let mut decisions = vec![None; n];
-    let mut steps = vec![0u64; n];
-    let mut flips = vec![0u64; n];
-    std::thread::scope(|scope| {
+    let per_thread: Vec<(Option<Val>, u64, u64)> = std::thread::scope(|scope| {
         let file = &file;
         let handles: Vec<_> = (0..n)
             .map(|pid| {
@@ -226,75 +265,27 @@ where
                         if !gate.acquire(pid) {
                             break;
                         }
-                        let choice = protocol.choose(pid, &state);
-                        let choose_branches = (!choice.is_det()).then(|| choice.branches().len());
-                        let op =
-                            match choose_branches.and_then(|b| gate.coin_branch(pid, false, b)) {
-                                Some(i) => {
-                                    &choice
-                                        .branches()
-                                        .get(i)
-                                        .expect("forced choose branch within range")
-                                        .1
-                                }
-                                None => choice.sample(&mut rng),
-                            }
-                            .clone();
-                        let read = match &op {
-                            Op::Read(r) => {
-                                let word =
-                                    file.read_word(Pid(pid), *r).expect("read in reader set");
-                                Some(codec.unpack(*r, word))
-                            }
-                            Op::Write(r, v) => {
-                                file.write_word(Pid(pid), *r, codec.pack(*r, v))
-                                    .expect("write own register within declared width");
-                                None
-                            }
-                        };
-                        let transition = protocol.transit(pid, &state, &op, read.as_ref());
-                        let transit_branches =
-                            (!transition.is_det()).then(|| transition.branches().len());
-                        state = match transit_branches.and_then(|b| gate.coin_branch(pid, true, b))
-                        {
-                            Some(i) => {
-                                &transition
-                                    .branches()
-                                    .get(i)
-                                    .expect("forced transit branch within range")
-                                    .1
-                            }
-                            None => transition.sample(&mut rng),
-                        }
-                        .clone();
-                        taken += 1;
-                        flipped += choose_branches.is_some() as u64;
-                        flipped += transit_branches.is_some() as u64;
-                        let value: &dyn fmt::Debug = match (&op, &read) {
-                            (Op::Write(_, v), _) => v,
-                            (_, Some(r)) => r,
-                            _ => &"?",
-                        };
-                        gate.release(StepRecord {
+                        let step = kernel::step(
+                            protocol,
                             pid,
-                            write: op.is_write(),
-                            reg: op.reg(),
-                            value,
-                            choose_branches,
-                            transit_branches,
-                            decision: protocol.decision(&state),
-                        });
+                            &mut state,
+                            &mut (file, codec),
+                            &mut rng,
+                            |transit, branches| gate.coin_branch(pid, transit, branches),
+                        );
+                        taken += 1;
+                        flipped += step.choose_branches.is_some() as u64;
+                        flipped += step.transit_branches.is_some() as u64;
+                        gate.release(step.record(pid));
                     }
                     (protocol.decision(&state), taken, flipped)
                 })
             })
             .collect();
-        for (pid, h) in handles.into_iter().enumerate() {
-            let (d, t, f) = h.join().expect("protocol thread panicked");
-            decisions[pid] = d;
-            steps[pid] = t;
-            flips[pid] = f;
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("protocol thread panicked"))
+            .collect()
     });
     // Terminal register snapshot: every cell read through a permitted
     // reader (the register file enforces reader sets even after the run).
@@ -309,9 +300,9 @@ where
         })
         .collect();
     ThreadOutcome {
-        decisions,
-        steps,
-        flips,
+        decisions: per_thread.iter().map(|t| t.0).collect(),
+        steps: per_thread.iter().map(|t| t.1).collect(),
+        flips: per_thread.iter().map(|t| t.2).collect(),
         reg_words,
     }
 }
