@@ -1,26 +1,24 @@
 //! Benches for the model-checking machinery: exhaustive space
-//! enumeration, dense and compact MDP solving, and valence analysis.
+//! enumeration, MDP solving, and valence analysis.
 //!
 //! Hand-written harness (not `criterion_group!`): the first thing every
 //! invocation does — including `cargo bench -p cil-bench --bench mdp --
-//! --test`, the CI smoke mode — is build the dense and compact state
-//! spaces side by side, check the symmetry quotient actually pays (the
-//! k-valued class space must be at least halved), and write the counts to
-//! `BENCH_mdp.json` at the repository root. Timed loops only run without
-//! `--test`.
+//! --test`, the CI smoke mode — is build the unreduced (dense) and the
+//! symmetry-reduced state spaces side by side, check the symmetry quotient
+//! actually pays (the k-valued class space must be at least halved), and
+//! write the counts to `BENCH_mdp.json` at the repository root. Timed loops
+//! only run without `--test`.
 
 use cil_core::deterministic::{DetRule, DetTwo};
 use cil_core::kvalued::KValued;
 use cil_core::two::TwoProcessor;
-use cil_mc::explore::Explorer;
-use cil_mc::mdp::{MdpSolver, Objective};
 use cil_mc::valence::ValenceMap;
-use cil_mc::{CompactExplorer, CompactMdp, CompactOptions, Symmetric};
+use cil_mc::{CompactExplorer, CompactMdp, CompactOptions, Objective, Symmetric};
 use cil_obs::json::ObjWriter;
 use cil_sim::Val;
 use criterion::{black_box, Criterion};
 
-/// Dense-vs-compact comparison row for one protocol instance.
+/// Unreduced-vs-reduced comparison row for one protocol instance.
 struct SpaceRow {
     name: &'static str,
     dense: usize,
@@ -36,11 +34,18 @@ impl SpaceRow {
     }
 }
 
-/// Builds both backends for one protocol and cross-checks the
-/// total-steps value before recording the state counts.
+/// Builds the unreduced and the reduced space for one protocol and
+/// cross-checks the total-steps value before recording the state counts.
+/// Without symmetry or merging, a build has one class per configuration.
 fn row<P: Symmetric>(name: &'static str, p: &P, inputs: &[Val]) -> SpaceRow {
-    let dense = MdpSolver::build(p, inputs, 2_000_000);
-    let dv = dense.expected_steps(p, Objective::TotalSteps, 1e-12, 1_000_000);
+    let unreduced = CompactOptions {
+        use_symmetry: false,
+        merge_decided: false,
+        ..CompactOptions::default()
+    };
+    let dense = CompactMdp::build(p, inputs, &unreduced)
+        .expect("finite protocol fits the default class budget");
+    let dv = dense.expected_steps(Objective::TotalSteps, 1e-12, 1_000_000, 0);
     let compact = CompactMdp::build(p, inputs, &CompactOptions::default())
         .expect("finite protocol fits the default class budget");
     let cv = compact.expected_steps(Objective::TotalSteps, 1e-12, 1_000_000, 0);
@@ -127,23 +132,10 @@ fn check_spaces() {
 
 fn bench_mc(c: &mut Criterion) {
     let p = TwoProcessor::new();
-    c.bench_function("mc/explore_full_two_proc", |b| {
-        b.iter(|| {
-            let r = Explorer::new(&p, &[Val::A, Val::B]).run();
-            black_box(r.explored)
-        })
-    });
     c.bench_function("mc/explore_compact_two_proc", |b| {
         b.iter(|| {
             let (r, _) = CompactExplorer::new(&p, &[Val::A, Val::B]).run_with_stats();
             black_box(r.explored)
-        })
-    });
-    c.bench_function("mc/mdp_build_and_solve", |b| {
-        b.iter(|| {
-            let m = MdpSolver::build(&p, &[Val::A, Val::B], 100_000);
-            let s = m.expected_steps(&p, Objective::StepsOf(0), 1e-10, 100_000);
-            black_box(s.value)
         })
     });
     c.bench_function("mc/compact_build_and_solve", |b| {

@@ -21,10 +21,9 @@ use cil_core::naive::Naive;
 use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::TwoProcessor;
 use cil_core::KRegCodec;
-use cil_mc::mdp::Objective;
 use cil_mc::{
     construct_infinite_schedule, CompactExplorer, CompactMdp, CompactOptions, LookaheadAdversary,
-    Symmetric,
+    Objective, Symmetric,
 };
 use cil_obs::json::{self, Value};
 use cil_obs::{
@@ -1165,12 +1164,7 @@ pub fn sweep(args: &Args) -> Result<String, String> {
     with_protocol!(args, sweep_one)
 }
 
-fn check_one<P>(protocol: &P, args: &Args) -> Result<String, String>
-where
-    P: Symmetric + Sync,
-    P::State: Send + Sync,
-    P::Reg: Send + Sync,
-{
+fn check_one<P: Symmetric>(protocol: &P, args: &Args) -> Result<String, String> {
     let inputs = parse_inputs(args.get_or("inputs", ""))?;
     if inputs.len() != protocol.processes() {
         return Err(format!(
@@ -1189,7 +1183,7 @@ where
     let level_clock = timings.then(|| {
         (
             registry.series("check.level_ns"),
-            std::sync::Mutex::new(std::time::Instant::now()),
+            std::cell::Cell::new(std::time::Instant::now()),
         )
     });
     let track = |d: usize, frontier: usize, generated: usize, fresh: usize| {
@@ -1197,11 +1191,8 @@ where
             rep.level(d, frontier, generated, fresh);
         }
         if let Some((series, last)) = &level_clock {
-            let mut last = last
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            series.push(elapsed_ns(*last));
-            *last = std::time::Instant::now();
+            series.push(elapsed_ns(last.get()));
+            last.set(std::time::Instant::now());
         }
     };
     let mut explorer = CompactExplorer::new(protocol, &inputs)

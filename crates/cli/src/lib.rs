@@ -288,6 +288,24 @@ mod tests {
     }
 
     #[test]
+    fn check_is_complete_when_the_depth_bound_cuts_nothing() {
+        // From (a, a) both processors have decided by depth 4; depth 3
+        // still cuts a step off.
+        let at = |d: u32| {
+            dispatch(toks(&format!(
+                "check --protocol two --inputs a,a --depth {d}"
+            )))
+            .unwrap()
+        };
+        let (d3, d4) = (at(3), at(4));
+        assert!(d3.contains("(complete: false)"), "{d3}");
+        assert!(
+            d4.contains("6 configurations explored (complete: true)"),
+            "{d4}"
+        );
+    }
+
+    #[test]
     fn sweep_reports_stats_and_is_jobs_invariant() {
         let serial = dispatch(toks(
             "sweep --protocol two --inputs a,b --trials 200 --seed 9 --jobs 1",

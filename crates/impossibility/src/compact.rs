@@ -1,8 +1,20 @@
-//! Hash-consed, symmetry-reduced, parallel backend for exact analysis.
+//! The exact engine: hash-consed, symmetry-reduced exhaustive safety
+//! checking ([`CompactExplorer`]) and adaptive-adversary MDP analysis
+//! ([`CompactMdp`]).
 //!
-//! The dense [`crate::mdp::MdpSolver`] keys its configuration space on
-//! cloned [`Config`] values — correct, but memory-heavy and blind to the
-//! protocols' symmetries. This module scales the same analyses:
+//! The paper's Theorem 7 bounds the two-processor protocol's behaviour under
+//! *every* adaptive adversary. The protocol plus an adaptive adversary is a
+//! Markov decision process in which the adversary picks the next processor
+//! (knowing everything except future coins) and the coins resolve
+//! probabilistically, so over a finite configuration space the worst case is
+//! computable: [`CompactMdp::expected_steps`] gives the supremum of expected
+//! steps over all adversaries, [`CompactMdp::survival`] the worst-case
+//! survival curve, and [`CompactMdp::policy_adversary`] the optimal
+//! adversary as a replayable scheduler. [`CompactExplorer`] enumerates every
+//! reachable configuration — all schedules × all coin outcomes — and checks
+//! consistency (Theorems 6/8) and nontriviality on each.
+//!
+//! The space is kept small by:
 //!
 //! * **Hash-consing** — processor states and register contents are interned
 //!   once into u32-indexed arenas; a configuration key is a flat `Box<[u32]>`
@@ -23,26 +35,126 @@
 //!   pure function of the previous vector, and the convergence delta is
 //!   reduced serially, so the [`Solve`] is byte-identical at any job count.
 //!
+//! With symmetry and merging switched off ([`CompactOptions::use_symmetry`],
+//! [`CompactOptions::merge_decided`]) a build enumerates the plain
+//! configuration space, one class per configuration.
+//!
 //! Protocols with unbounded registers (the paper's §5 family) get
 //! **depth-bounded** builds: configurations at the depth limit keep an
-//! empty move list, exactly mirroring [`MdpSolver::build_bounded`] on the
-//! dense side, so the two backends stay cross-validatable. Depth-bounded
-//! builds key on the activation mask and switch bisimulation merging off —
-//! BFS depth is preserved by initial-configuration-fixing automorphisms but
-//! not by the coarser merges, and truncation must cut both backends at the
-//! same places.
-//!
-//! [`MdpSolver::build_bounded`]: crate::mdp::MdpSolver::build_bounded
+//! empty move list, so their value stays 0 under every objective.
+//! Depth-bounded builds key on the activation mask and switch bisimulation
+//! merging off — BFS depth is preserved by initial-configuration-fixing
+//! automorphisms but not by the coarser merges, and truncation must cut at
+//! exactly the configurations first reached at the bound.
 
 use crate::config::{successors, Config};
-use crate::explore::{LevelStats, Report, Violation};
-use crate::mdp::{Objective, Solve};
 use crate::symmetry::{applicable_elems, automorphism_elems, SymElem, Symmetric};
 use cil_obs::metrics::Registry;
 use cil_registers::ReaderSet;
 use cil_sim::{Adversary, Val, View};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+
+/// A safety violation found during exploration.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Violation {
+    /// Two processors decided differently.
+    Inconsistent {
+        /// The distinct decision values present.
+        values: Vec<Val>,
+        /// BFS depth at which the configuration was reached.
+        depth: usize,
+    },
+    /// A decision value is not the input of any activated processor.
+    Trivial {
+        /// The offending decision value.
+        value: Val,
+        /// BFS depth.
+        depth: usize,
+    },
+    /// A caller-supplied invariant failed.
+    Invariant {
+        /// The invariant's description.
+        message: String,
+        /// BFS depth.
+        depth: usize,
+    },
+}
+
+/// Per-level BFS statistics: how wide each level was and how effective
+/// the seen-set deduplication was there.
+///
+/// `generated - fresh` successors were duplicates of already-visited
+/// classes (or fell past the `max_configs` cutoff); the dedup hit rate at
+/// a level is `1 - fresh / generated`. Only levels processed to completion
+/// get a record — a mid-level stop (the violation cap) leaves that level
+/// out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LevelStats {
+    /// BFS depth of this level (0 = the initial configuration).
+    pub depth: usize,
+    /// Number of classes processed at this depth.
+    pub frontier: usize,
+    /// Successor configurations generated from this level, before
+    /// deduplication.
+    pub generated: usize,
+    /// Successors that were genuinely new (inserted into the seen-set and
+    /// carried into the next level).
+    pub fresh: usize,
+}
+
+/// Result of an exploration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// Number of distinct classes visited.
+    pub explored: usize,
+    /// Violations found (empty = safe within bounds).
+    pub violations: Vec<Violation>,
+    /// `true` if the reachable space was exhausted (the verdict is then
+    /// complete, not merely bounded).
+    pub complete: bool,
+    /// Maximum BFS depth reached.
+    pub max_depth: usize,
+    /// Per-level frontier/dedup statistics, one entry per completed BFS
+    /// level in depth order.
+    pub levels: Vec<LevelStats>,
+}
+
+impl Report {
+    /// Whether no violations were found.
+    pub fn safe(&self) -> bool {
+        self.violations.is_empty()
+    }
+}
+
+/// Which cost the adversary maximizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Objective {
+    /// Expected number of activations of one processor until it decides.
+    StepsOf(usize),
+    /// Expected total number of steps until every processor has decided.
+    TotalSteps,
+}
+
+/// Result of a value-iteration solve.
+#[derive(Debug)]
+pub struct Solve {
+    /// Optimal (worst-case) value at the initial class.
+    pub value: f64,
+    /// Optimal value of every class.
+    pub values: Vec<f64>,
+    /// Argmax processor per class (None = absorbing).
+    pub policy: Vec<Option<usize>>,
+    /// Iterations used.
+    pub iterations: usize,
+    /// Sup-norm residual after each sweep (one entry per iteration). A
+    /// deterministic function of the model — identical at any `--jobs` —
+    /// so it exports as a convergence time series.
+    pub residuals: Vec<f64>,
+    /// Wall-clock nanoseconds per sweep (one entry per iteration). Real
+    /// time: reproducible in shape, not in value.
+    pub sweep_ns: Vec<u64>,
+}
 
 /// Arena token for a decided processor state (full builds only).
 const MERGED: u32 = u32::MAX;
@@ -91,8 +203,7 @@ pub struct CompactOptions {
     /// build error rather than a panic.
     pub max_configs: usize,
     /// `Some(d)` truncates the BFS at depth `d`: configurations there keep
-    /// an empty move list (their value stays 0, as in the dense
-    /// depth-bounded build). Required for protocols whose reachable space
+    /// an empty move list (their value stays 0). Required for protocols whose reachable space
     /// is infinite.
     pub max_depth: Option<usize>,
     /// The processor singled out by the intended objective
@@ -343,7 +454,8 @@ impl<P: Symmetric> CompactMdp<P> {
         // with the objective: the value of a class depends only on its
         // future, so the elements need not fix the initial configuration.
         // Depth-bounded builds must stay depth-exact (the truncation
-        // frontier has to match the dense solver's), which only init-fixing
+        // frontier has to cut the plain configuration space at its BFS
+        // depth), which only init-fixing
         // elements guarantee.
         let elems = if !opts.use_symmetry {
             Vec::new()
@@ -503,8 +615,9 @@ impl<P: Symmetric> CompactMdp<P> {
 
     /// Worst-case expected cost by parallel Jacobi value iteration.
     ///
-    /// Converges from below to the same least fixpoint as the dense
-    /// Gauss–Seidel solver. Every scratch entry is a pure function of the
+    /// Converges monotonically from below to the least fixpoint, which for
+    /// nonnegative total-cost MDPs equals the supremum over all adversary
+    /// strategies. Every scratch entry is a pure function of the
     /// previous iterate and the convergence delta is reduced serially, so
     /// the result is byte-identical at any `jobs` count (`0` = available
     /// parallelism).
@@ -708,8 +821,7 @@ impl CsrView<'_> {
         }
         let (lo, hi) = (self.row_off[class], self.row_off[class + 1]);
         if lo == hi {
-            // Depth-truncated: the value stays put (0), as in the dense
-            // bounded build.
+            // Depth-truncated: the value stays put (0).
             return v[class];
         }
         let mut best = f64::NEG_INFINITY;
@@ -722,8 +834,7 @@ impl CsrView<'_> {
         best
     }
 
-    /// The argmax move of `class` under `v` (first maximum in CSR order,
-    /// matching the dense solver's strict-improvement scan).
+    /// The argmax move of `class` under `v` (first maximum in CSR order).
     fn best_move(&self, class: usize, objective: Objective, v: &[f64]) -> Option<usize> {
         if self.absorbing(class, objective) {
             return None;
@@ -824,9 +935,9 @@ impl<P: Symmetric> Adversary<P> for CompactPolicyAdversary<'_, P> {
     }
 }
 
-/// Symmetry-reduced exhaustive safety checking: the compact counterpart of
-/// [`crate::explore::Explorer`], producing the same [`Report`] shape over
-/// canonical classes. Decided states and dead registers are **not** merged
+/// Symmetry-reduced exhaustive safety checking: a breadth-first walk over
+/// every reachable configuration class, checking consistency, nontriviality
+/// and an optional caller-supplied invariant on each. Decided states and dead registers are **not** merged
 /// (consistency needs decision values), and keys embed the activation mask
 /// (nontriviality needs it); only symmetry quotients the space. Checks run
 /// on class representatives, which is sound because every checked property
@@ -838,9 +949,9 @@ pub struct CompactExplorer<'p, P: Symmetric> {
     max_configs: usize,
     use_symmetry: bool,
     #[allow(clippy::type_complexity)]
-    invariant: Option<Box<dyn Fn(&Config<P>) -> Result<(), String> + Send + Sync + 'p>>,
+    invariant: Option<Box<dyn Fn(&Config<P>) -> Result<(), String> + 'p>>,
     #[allow(clippy::type_complexity)]
-    on_level: Option<Box<dyn Fn(&LevelStats) + Send + Sync + 'p>>,
+    on_level: Option<Box<dyn Fn(&LevelStats) + 'p>>,
 }
 
 impl<'p, P: Symmetric> CompactExplorer<'p, P> {
@@ -869,8 +980,7 @@ impl<'p, P: Symmetric> CompactExplorer<'p, P> {
         self
     }
 
-    /// Disables symmetry reduction (the run then degenerates to a
-    /// hash-consed replica of the serial dense explorer).
+    /// Disables symmetry reduction (one class per configuration).
     pub fn use_symmetry(mut self, on: bool) -> Self {
         self.use_symmetry = on;
         self
@@ -878,25 +988,22 @@ impl<'p, P: Symmetric> CompactExplorer<'p, P> {
 
     /// Adds an invariant checked on every class representative. It must be
     /// invariant under the protocol's symmetries, like the built-in checks.
-    pub fn check_invariant(
-        mut self,
-        f: impl Fn(&Config<P>) -> Result<(), String> + Send + Sync + 'p,
-    ) -> Self {
+    pub fn check_invariant(mut self, f: impl Fn(&Config<P>) -> Result<(), String> + 'p) -> Self {
         self.invariant = Some(Box::new(f));
         self
     }
 
     /// Registers a callback invoked once per completed BFS level.
-    pub fn on_level(mut self, f: impl Fn(&LevelStats) + Send + Sync + 'p) -> Self {
+    pub fn on_level(mut self, f: impl Fn(&LevelStats) + 'p) -> Self {
         self.on_level = Some(Box::new(f));
         self
     }
 
     /// Runs the exploration, returning the report and build statistics.
     ///
-    /// The loop replays the serial dense explorer's queue discipline —
-    /// violation cap, depth bound, class-count cutoff, per-level records —
-    /// over canonical classes instead of raw configurations.
+    /// The report is incomplete when the violation cap, the class-count
+    /// cutoff or the depth bound cut something off; a configuration at the
+    /// depth bound with no eligible processor has no successor to cut.
     pub fn run_with_stats(self) -> (Report, CompactStats) {
         let protocol = self.protocol;
         let elems = if self.use_symmetry {
@@ -968,11 +1075,12 @@ impl<'p, P: Symmetric> CompactExplorer<'p, P> {
                 stopped_mid_level = true;
                 break;
             }
+            let eligible = cfg.eligible(protocol);
             if depth >= self.max_depth {
-                complete = false;
+                complete &= eligible.is_empty();
                 continue;
             }
-            for pid in cfg.eligible(protocol) {
+            for pid in eligible {
                 for (_, succ) in successors(protocol, &cfg, pid) {
                     level.generated += 1;
                     if seen.len() >= self.max_configs {
@@ -1022,10 +1130,11 @@ impl<'p, P: Symmetric> CompactExplorer<'p, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::Explorer;
-    use crate::mdp::MdpSolver;
+    use cil_core::deterministic::{DetRule, DetTwo};
     use cil_core::kvalued::KValued;
     use cil_core::two::TwoProcessor;
+    use cil_sim::{Protocol, Runner, StopWhen};
+    use std::cell::RefCell;
 
     fn opts(target: Option<usize>) -> CompactOptions {
         CompactOptions {
@@ -1034,22 +1143,70 @@ mod tests {
         }
     }
 
+    /// No symmetry, no merging: one class per configuration of the plain
+    /// (dense) configuration space.
+    fn unreduced() -> CompactOptions {
+        CompactOptions {
+            use_symmetry: false,
+            merge_decided: false,
+            ..CompactOptions::default()
+        }
+    }
+
     #[test]
     fn theorem_7_corollary_survives_the_compact_backend() {
+        // The paper's Corollary bounds the expectation by 2 + 4·2 = 10.
+        // The exact optimal adaptive adversary achieves it with equality —
+        // the bound is tight, which the paper does not state.
         let p = TwoProcessor::new();
         let m = CompactMdp::build(&p, &[Val::A, Val::B], &opts(Some(0))).unwrap();
         let s = m.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, 1);
         assert!((s.value - 10.0).abs() < 1e-6, "value {}", s.value);
         // Fewer classes than dense configurations.
-        let dense = MdpSolver::build(&p, &[Val::A, Val::B], 100_000);
+        let dense = CompactMdp::build(&p, &[Val::A, Val::B], &unreduced()).unwrap();
         assert!(m.size() < dense.size(), "{} !< {}", m.size(), dense.size());
     }
 
     #[test]
-    fn survival_curve_still_pins_three_quarters() {
+    fn theorem_7_corollary_is_exactly_tight() {
+        // The Corollary's E ≤ 10 is met with equality on the unreduced
+        // build too, so the tightness is not an artefact of the quotient.
         let p = TwoProcessor::new();
-        let m = CompactMdp::build(&p, &[Val::A, Val::B], &opts(Some(0))).unwrap();
-        let curve = m.survival(0, 20, 1e-13, 200_000, 1);
+        let m = CompactMdp::build(&p, &[Val::A, Val::B], &unreduced()).unwrap();
+        let s = m.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, 1);
+        assert!(
+            (s.value - 10.0).abs() < 1e-6,
+            "exact optimum should be 10, got {}",
+            s.value
+        );
+    }
+
+    #[test]
+    fn space_is_small_and_closed() {
+        let p = TwoProcessor::new();
+        let m = CompactMdp::build(&p, &[Val::A, Val::B], &unreduced()).unwrap();
+        assert!(m.size() < 2_000, "space size {}", m.size());
+    }
+
+    #[test]
+    fn equal_inputs_cost_exactly_two_steps() {
+        let p = TwoProcessor::new();
+        let m = CompactMdp::build(&p, &[Val::A, Val::A], &opts(Some(0))).unwrap();
+        let s = m.expected_steps(Objective::StepsOf(0), 1e-12, 10_000, 1);
+        assert!((s.value - 2.0).abs() < 1e-9, "value {}", s.value);
+    }
+
+    /// Theorem 7's proof: every read–write pair after the initial write
+    /// decides with probability ≥ 1/4, so
+    /// P[not decided after k+2 own steps] ≤ (3/4)^{k/2}.
+    /// (The paper's text displays (1/4)^{k/2}, an evident slip: it would
+    /// contradict the paper's own Corollary E ≤ 2 + 4·2.)
+    /// The exact worst case meets (3/4)^{k/2} with equality at even k.
+    fn assert_three_quarters_per_pair(curve: &[f64]) {
+        assert!((curve[0] - 1.0).abs() < 1e-12);
+        for w in curve.windows(2) {
+            assert!(w[1] <= w[0] + 1e-12, "curve must be nonincreasing");
+        }
         for j in 0..=9 {
             let expect = 0.75f64.powi(j as i32);
             assert!(
@@ -1059,6 +1216,62 @@ mod tests {
                 curve[2 + 2 * j],
             );
         }
+        // Odd steps cannot decide (they are writes): the curve is flat
+        // between consecutive even ks.
+        for j in 1..=9 {
+            assert!((curve[2 * j + 1] - curve[2 * j]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn survival_curve_still_pins_three_quarters() {
+        let p = TwoProcessor::new();
+        let m = CompactMdp::build(&p, &[Val::A, Val::B], &opts(Some(0))).unwrap();
+        assert_three_quarters_per_pair(&m.survival(0, 20, 1e-13, 200_000, 1));
+    }
+
+    #[test]
+    fn survival_curve_is_exactly_three_quarters_per_pair() {
+        // Same curve on the unreduced build: one class per configuration.
+        let p = TwoProcessor::new();
+        let m = CompactMdp::build(&p, &[Val::A, Val::B], &unreduced()).unwrap();
+        assert_three_quarters_per_pair(&m.survival(0, 20, 1e-13, 200_000, 1));
+    }
+
+    #[test]
+    fn total_steps_objective_is_at_least_per_processor() {
+        let p = TwoProcessor::new();
+        let p0 = CompactMdp::build(&p, &[Val::A, Val::B], &opts(Some(0))).unwrap();
+        let any = CompactMdp::build(&p, &[Val::A, Val::B], &opts(None)).unwrap();
+        let per = p0.expected_steps(Objective::StepsOf(0), 1e-10, 100_000, 1);
+        let tot = any.expected_steps(Objective::TotalSteps, 1e-10, 100_000, 1);
+        assert!(tot.value >= per.value - 1e-9);
+        assert!(tot.value <= 20.0 + 1e-9, "total {}", tot.value);
+    }
+
+    #[test]
+    fn optimal_policy_replays_in_the_simulator() {
+        let p = TwoProcessor::new();
+        let m = CompactMdp::build(&p, &[Val::A, Val::B], &opts(Some(0))).unwrap();
+        let s = m.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, 1);
+        let runs = 4_000u64;
+        let mut total0 = 0u64;
+        for seed in 0..runs {
+            let out = Runner::new(&p, &[Val::A, Val::B], m.policy_adversary(&p, &s))
+                .seed(seed)
+                .stop_when(StopWhen::PidDecided(0))
+                .max_steps(100_000)
+                .run();
+            assert!(out.consistent());
+            total0 += out.steps[0];
+        }
+        let mean = total0 as f64 / runs as f64;
+        // Monte-Carlo mean under the optimal policy ≈ the exact value.
+        assert!(
+            (mean - s.value).abs() < 0.4,
+            "MC mean {mean} vs exact {}",
+            s.value
+        );
     }
 
     #[test]
@@ -1078,7 +1291,7 @@ mod tests {
     fn kvalued_class_space_is_at_least_halved() {
         let p = KValued::new(TwoProcessor::new(), 4);
         let inputs = [Val(0), Val(3)];
-        let dense = MdpSolver::build(&p, &inputs, 2_000_000);
+        let dense = CompactMdp::build(&p, &inputs, &unreduced()).unwrap();
         let compact = CompactMdp::build(&p, &inputs, &opts(None)).unwrap();
         assert!(
             compact.size() * 2 <= dense.size(),
@@ -1094,8 +1307,8 @@ mod tests {
     fn values_match_dense_on_kvalued_total_steps() {
         let p = KValued::new(TwoProcessor::new(), 4);
         let inputs = [Val(1), Val(2)];
-        let dense = MdpSolver::build(&p, &inputs, 2_000_000);
-        let dv = dense.expected_steps(&p, Objective::TotalSteps, 1e-12, 100_000);
+        let dense = CompactMdp::build(&p, &inputs, &unreduced()).unwrap();
+        let dv = dense.expected_steps(Objective::TotalSteps, 1e-12, 100_000, 1);
         let compact = CompactMdp::build(&p, &inputs, &opts(None)).unwrap();
         let cv = compact.expected_steps(Objective::TotalSteps, 1e-12, 100_000, 2);
         assert!(
@@ -1108,17 +1321,12 @@ mod tests {
 
     #[test]
     fn off_symmetry_off_merging_reproduces_dense_size() {
+        // The two-processor protocol's configuration space from (a, b) has
+        // 37 configurations (EXP-2a); the unreduced build has one class
+        // each.
         let p = TwoProcessor::new();
-        let o = CompactOptions {
-            use_symmetry: false,
-            merge_decided: false,
-            ..CompactOptions::default()
-        };
-        let compact = CompactMdp::build(&p, &[Val::A, Val::B], &o).unwrap();
-        let dense = MdpSolver::build(&p, &[Val::A, Val::B], 100_000);
-        // Without merging, classes differ from dense configs only by the
-        // dropped activation mask.
-        assert!(compact.size() <= dense.size());
+        let compact = CompactMdp::build(&p, &[Val::A, Val::B], &unreduced()).unwrap();
+        assert_eq!(compact.size(), 37);
         let s = compact.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, 1);
         assert!((s.value - 10.0).abs() < 1e-6);
     }
@@ -1134,10 +1342,35 @@ mod tests {
     }
 
     #[test]
+    fn two_processor_protocol_is_consistent_completely() {
+        // The full reachable space of Fig. 1 is finite: the verdict is
+        // complete — this mechanizes Theorem 6.
+        for inputs in [[Val::A, Val::B], [Val::A, Val::A], [Val::B, Val::A]] {
+            let p = TwoProcessor::new();
+            let report = CompactExplorer::new(&p, &inputs).use_symmetry(false).run();
+            assert!(report.safe(), "violations: {:?}", report.violations);
+            assert!(report.complete, "space unexpectedly unbounded");
+            // The unanimous space is tiny (9 configs); the split one larger.
+            assert!(report.explored >= 9, "explored {}", report.explored);
+        }
+    }
+
+    #[test]
+    fn deterministic_victims_are_consistent_too() {
+        for rule in DetRule::ALL {
+            let p = DetTwo::new(rule);
+            let report = CompactExplorer::new(&p, &[Val::A, Val::B]).run();
+            assert!(report.safe(), "{rule}: {:?}", report.violations);
+            assert!(report.complete, "{rule}");
+        }
+    }
+
+    #[test]
     fn compact_explorer_matches_dense_verdict() {
+        // The symmetry quotient keeps the verdict of the unreduced walk.
         let p = TwoProcessor::new();
         for inputs in [[Val::A, Val::B], [Val::A, Val::A]] {
-            let dense = Explorer::new(&p, &inputs).run();
+            let dense = CompactExplorer::new(&p, &inputs).use_symmetry(false).run();
             let (compact, stats) = CompactExplorer::new(&p, &inputs).run_with_stats();
             assert_eq!(compact.safe(), dense.safe());
             assert_eq!(compact.complete, dense.complete);
@@ -1149,15 +1382,130 @@ mod tests {
 
     #[test]
     fn compact_explorer_without_symmetry_counts_dense_configs() {
-        // With symmetry off and no merging, classes biject with dense
-        // configurations (keys keep the activation mask).
+        // With symmetry off, classes biject with configurations (keys keep
+        // the activation mask): the 37 of EXP-2a.
         let p = TwoProcessor::new();
-        let dense = Explorer::new(&p, &[Val::A, Val::B]).run();
         let compact = CompactExplorer::new(&p, &[Val::A, Val::B])
             .use_symmetry(false)
             .run();
-        assert_eq!(compact.explored, dense.explored);
-        assert_eq!(compact.levels, dense.levels);
+        assert_eq!(compact.explored, 37);
+    }
+
+    #[test]
+    fn depth_bound_marks_report_incomplete() {
+        let p = TwoProcessor::new();
+        let report = CompactExplorer::new(&p, &[Val::A, Val::B])
+            .max_depth(2)
+            .run();
+        assert!(!report.complete);
+        assert!(report.max_depth <= 2);
+    }
+
+    #[test]
+    fn depth_bound_that_cuts_nothing_leaves_the_report_complete() {
+        // From (a, a) every configuration at depth 4 has both processors
+        // decided: the bound cuts no successor off.
+        let p = TwoProcessor::new();
+        let at = |d| {
+            CompactExplorer::new(&p, &[Val::A, Val::A])
+                .max_depth(d)
+                .run()
+        };
+        let (r3, r4) = (at(3), at(4));
+        assert!(!r3.complete);
+        assert!(r4.complete);
+        assert_eq!(r4.levels.last().map(|l| l.generated), Some(0));
+        assert_eq!(r4, at(usize::MAX));
+    }
+
+    #[test]
+    fn invariant_violations_are_reported() {
+        let p = TwoProcessor::new();
+        let report = CompactExplorer::new(&p, &[Val::A, Val::B])
+            .check_invariant(|cfg| {
+                if cfg.active == 0b11 {
+                    Err("both stepped".into())
+                } else {
+                    Ok(())
+                }
+            })
+            .run();
+        assert!(!report.safe());
+        assert!(matches!(report.violations[0], Violation::Invariant { .. }));
+    }
+
+    /// A deliberately broken protocol: each processor decides its own input
+    /// immediately. The explorer must catch the inconsistency.
+    #[derive(Debug, Clone)]
+    struct DecideOwn;
+
+    impl Protocol for DecideOwn {
+        type State = (Val, bool);
+        type Reg = u8;
+
+        fn processes(&self) -> usize {
+            2
+        }
+        fn registers(&self) -> Vec<cil_registers::RegisterSpec<u8>> {
+            cil_registers::access::per_process_registers(2, 0, |_| cil_registers::ReaderSet::All)
+        }
+        fn init(&self, _pid: usize, input: Val) -> (Val, bool) {
+            (input, false)
+        }
+        fn choose(&self, pid: usize, _s: &(Val, bool)) -> cil_sim::Choice<cil_sim::Op<u8>> {
+            cil_sim::Choice::det(cil_sim::Op::Write(cil_registers::RegId(pid), 1))
+        }
+        fn transit(
+            &self,
+            _pid: usize,
+            s: &(Val, bool),
+            _op: &cil_sim::Op<u8>,
+            _read: Option<&u8>,
+        ) -> cil_sim::Choice<(Val, bool)> {
+            cil_sim::Choice::det((s.0, true))
+        }
+        fn decision(&self, s: &(Val, bool)) -> Option<Val> {
+            s.1.then_some(s.0)
+        }
+    }
+
+    impl Symmetric for DecideOwn {}
+
+    #[test]
+    fn broken_protocol_is_caught() {
+        let report = CompactExplorer::new(&DecideOwn, &[Val::A, Val::B]).run();
+        assert!(!report.safe());
+        assert!(report
+            .violations
+            .iter()
+            .any(|v| matches!(v, Violation::Inconsistent { .. })));
+    }
+
+    #[test]
+    fn level_stats_account_for_the_whole_exploration() {
+        let p = TwoProcessor::new();
+        let report = CompactExplorer::new(&p, &[Val::A, Val::B]).run();
+        assert!(!report.levels.is_empty());
+        // Frontiers partition the explored set; fresh counts seed the next
+        // frontier; depths are consecutive from 0.
+        let popped: usize = report.levels.iter().map(|l| l.frontier).sum();
+        assert_eq!(popped, report.explored);
+        for (i, l) in report.levels.iter().enumerate() {
+            assert_eq!(l.depth, i);
+            assert!(l.fresh <= l.generated, "level {i}");
+            let next_frontier = report.levels.get(i + 1).map_or(0, |n| n.frontier);
+            assert_eq!(l.fresh, next_frontier, "level {i}");
+        }
+    }
+
+    #[test]
+    fn on_level_streams_the_report_levels() {
+        let p = TwoProcessor::new();
+        let streamed = RefCell::new(Vec::new());
+        let report = CompactExplorer::new(&p, &[Val::A, Val::B])
+            .on_level(|l| streamed.borrow_mut().push(*l))
+            .run();
+        assert_eq!(streamed.into_inner(), report.levels);
     }
 
     #[test]

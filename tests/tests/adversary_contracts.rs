@@ -1,17 +1,16 @@
 //! Contract tests for the adversary suite: every scheduler must always pick
 //! an eligible processor, for every protocol, under randomized stress —
-//! plus cross-checks tying the model checker's enumeration to the MDP
-//! solver's.
+//! plus cross-checks tying the model checker's enumeration to the MDP's.
 
 use cil_core::n_unbounded::NUnbounded;
 use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::TwoProcessor;
-use cil_mc::explore::Explorer;
-use cil_mc::mdp::MdpSolver;
+use cil_mc::CompactExplorer;
 use cil_sim::{
     Adversary, Alternator, BoxedAdversary, CrashPlan, FixedSchedule, Halt, LaggardFirst,
     LeaderFirst, Protocol, RandomScheduler, RoundRobin, Runner, Solo, SplitKeeper, Val, View,
 };
+use cil_tests::oracle::{self, Mdp};
 use proptest::prelude::*;
 
 /// Wraps any adversary and asserts the executor's eligibility contract on
@@ -89,16 +88,23 @@ proptest! {
 
 #[test]
 fn explorer_and_mdp_agree_on_the_state_space_size() {
-    // Two independent enumerations of the same closed space must coincide.
+    // Independent enumerations of the same closed space must coincide:
+    // the oracle's BFS explorer, the oracle's MDP build, and the compact
+    // explorer without symmetry.
     let p = TwoProcessor::new();
     for inputs in [[Val::A, Val::B], [Val::A, Val::A], [Val::B, Val::A]] {
-        let report = Explorer::new(&p, &inputs).run();
+        let report = oracle::explore(&p, &inputs, usize::MAX);
         assert!(report.complete);
-        let mdp = MdpSolver::build(&p, &inputs, 1_000_000);
+        let mdp = Mdp::build(&p, &inputs, None);
         assert_eq!(
             report.explored,
             mdp.size(),
             "inputs {inputs:?}: explorer vs mdp enumeration mismatch"
+        );
+        let compact = CompactExplorer::new(&p, &inputs).use_symmetry(false).run();
+        assert_eq!(
+            compact.explored, report.explored,
+            "inputs {inputs:?}: compact vs oracle enumeration mismatch"
         );
     }
 }

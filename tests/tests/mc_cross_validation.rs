@@ -5,9 +5,8 @@
 use cil_core::deterministic::{DetRule, DetTwo};
 use cil_core::two::TwoProcessor;
 use cil_mc::config::{successors, Config};
-use cil_mc::explore::Explorer;
-use cil_mc::mdp::{MdpSolver, Objective};
 use cil_mc::valence::{Valence, ValenceMap};
+use cil_mc::{CompactExplorer, CompactMdp, CompactOptions, Objective};
 use cil_sim::{FixedSchedule, RandomScheduler, Runner, StopWhen, Val};
 
 #[test]
@@ -48,12 +47,18 @@ fn univalent_configurations_predict_simulation_outcomes() {
 fn mdp_value_matches_monte_carlo_under_its_own_policy() {
     let p = TwoProcessor::new();
     let inputs = [Val::A, Val::B];
-    let mdp = MdpSolver::build(&p, &inputs, 100_000);
-    let solve = mdp.expected_steps(&p, Objective::StepsOf(1), 1e-12, 100_000);
+    // Unreduced: one class per configuration, no symmetry to map through.
+    let opts = CompactOptions {
+        use_symmetry: false,
+        merge_decided: false,
+        ..CompactOptions::default()
+    };
+    let mdp = CompactMdp::build(&p, &inputs, &opts).unwrap();
+    let solve = mdp.expected_steps(Objective::StepsOf(1), 1e-12, 100_000, 0);
     let runs = 30_000u64;
     let mut total = 0u64;
     for seed in 0..runs {
-        let out = Runner::new(&p, &inputs, mdp.policy_adversary(&solve))
+        let out = Runner::new(&p, &inputs, mdp.policy_adversary(&p, &solve))
             .seed(seed)
             .stop_when(StopWhen::PidDecided(1))
             .max_steps(100_000)
@@ -74,20 +79,25 @@ fn no_monte_carlo_run_escapes_the_enumerated_state_space() {
     // closed enumeration (registers + states), for many seeds.
     let p = TwoProcessor::new();
     let inputs = [Val::B, Val::A];
-    let mdp = MdpSolver::build(&p, &inputs, 100_000);
+    // Unreduced, so decided states and registers are not merged away.
+    let unreduced = CompactOptions {
+        use_symmetry: false,
+        merge_decided: false,
+        ..CompactOptions::default()
+    };
+    let mdp = CompactMdp::build(&p, &inputs, &unreduced).unwrap();
     for seed in 0..500u64 {
         let out = Runner::new(&p, &inputs, RandomScheduler::new(seed))
             .seed(seed)
             .run();
-        // Final configuration must be known to the solver modulo the
-        // activation mask, which the solver tracks too. Rebuild it:
+        // Full builds do not key on the activation mask.
         let cfg = Config::<TwoProcessor> {
             states: out.final_states.clone(),
             regs: out.final_regs.clone(),
-            active: (u64::from(out.steps[0] > 0)) | (u64::from(out.steps[1] > 0) << 1),
+            active: 0,
         };
         assert!(
-            mdp.find(&cfg).is_some(),
+            mdp.find(&p, &cfg).is_some(),
             "seed {seed}: final config missing from enumeration"
         );
     }
@@ -99,7 +109,7 @@ fn explorer_matches_brute_force_monte_carlo_on_safety() {
     // can never find what exhaustion proved absent).
     let p = TwoProcessor::new();
     for inputs in [[Val::A, Val::B], [Val::B, Val::B]] {
-        let report = Explorer::new(&p, &inputs).run();
+        let report = CompactExplorer::new(&p, &inputs).run();
         assert!(report.safe() && report.complete);
         for seed in 0..2_000u64 {
             let out = Runner::new(&p, &inputs, RandomScheduler::new(seed))

@@ -1,12 +1,14 @@
-//! Cross-validation between the dense MDP solver (`cil_mc::mdp`) and the
-//! hash-consed, symmetry-reduced compact backend (`cil_mc::compact`).
+//! Cross-validation between the exact engine (`cil_mc::compact`) and the
+//! plain reference oracle of this package (`cil_tests::oracle`), which
+//! keys on whole configurations without any reduction.
 //!
-//! The compact backend must be an *observation-preserving* quotient: same
+//! The compact engine must be an *observation-preserving* quotient: same
 //! worst-case expected steps for every objective, same survival curves,
-//! and a policy that is still optimal when scored against the dense value
-//! function. Protocols with infinite reachable spaces (the paper's §5/§6
-//! families) are compared under the same BFS depth bound on both sides —
-//! the truncation disciplines are defined to match exactly.
+//! a policy that is still optimal when scored against the oracle's value
+//! function, and the same safety reports. Protocols with infinite reachable
+//! spaces (the paper's §5/§6 families) are compared under the same BFS
+//! depth bound on both sides — the truncation disciplines are defined to
+//! match exactly.
 
 use cil_core::deterministic::{DetRule, DetTwo};
 use cil_core::kvalued::KValued;
@@ -16,9 +18,9 @@ use cil_core::naive::Naive;
 use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::TwoProcessor;
 use cil_mc::config::{successors, Config};
-use cil_mc::mdp::{MdpSolver, Objective};
-use cil_mc::{CompactMdp, CompactOptions, Symmetric};
+use cil_mc::{CompactExplorer, CompactMdp, CompactOptions, Objective, Symmetric};
 use cil_sim::{Runner, StopWhen, Val};
+use cil_tests::oracle::{self, Mdp};
 use std::collections::HashSet;
 
 const VAL_TOL: f64 = 1e-9;
@@ -33,13 +35,14 @@ fn opts(depth: Option<usize>, target: Option<usize>) -> CompactOptions {
     }
 }
 
-/// Builds both backends (optionally depth-bounded) and compares expected
-/// steps under every objective and the survival curve of every processor.
+/// Builds the oracle and the compact engine (optionally depth-bounded) and
+/// compares expected steps under every objective and the survival curve of
+/// every processor.
 ///
 /// `compare_steps: false` skips the expected-steps comparisons for
 /// protocols whose truncated graph still contains undecided cycles (the
-/// naive protocol): there the fixpoint diverges, and the dense
-/// Gauss–Seidel and compact Jacobi sweeps blow up at different rates.
+/// naive protocol): there the fixpoint diverges, and the oracle's
+/// Gauss–Seidel and the compact Jacobi sweeps blow up at different rates.
 /// Survival curves are bounded in [0, 1] and stay well-defined.
 fn assert_backends_agree<P: Symmetric>(
     name: &str,
@@ -48,34 +51,29 @@ fn assert_backends_agree<P: Symmetric>(
     depth: Option<usize>,
     compare_steps: bool,
 ) {
-    let dense = match depth {
-        Some(d) => MdpSolver::build_bounded(p, inputs, 2_000_000, d),
-        None => MdpSolver::build(p, inputs, 2_000_000),
-    };
+    let dense = Mdp::build(p, inputs, depth);
     let compact_any = CompactMdp::build(p, inputs, &opts(depth, None)).unwrap();
     assert!(
         compact_any.size() <= dense.size(),
         "{name}: quotient larger than the dense space"
     );
     if compare_steps {
-        let dt = dense.expected_steps(p, Objective::TotalSteps, 1e-13, 1_000_000);
+        let dt = dense.expected_steps(p, Objective::TotalSteps, 1e-13, 1_000_000)[0];
         let ct = compact_any.expected_steps(Objective::TotalSteps, 1e-13, 1_000_000, 1);
         assert!(
-            (dt.value - ct.value).abs() <= VAL_TOL,
-            "{name} TotalSteps: dense {} vs compact {}",
-            dt.value,
+            (dt - ct.value).abs() <= VAL_TOL,
+            "{name} TotalSteps: oracle {dt} vs compact {}",
             ct.value
         );
     }
     for t in 0..p.processes() {
         let compact_t = CompactMdp::build(p, inputs, &opts(depth, Some(t))).unwrap();
         if compare_steps {
-            let ds = dense.expected_steps(p, Objective::StepsOf(t), 1e-13, 1_000_000);
+            let ds = dense.expected_steps(p, Objective::StepsOf(t), 1e-13, 1_000_000)[0];
             let cs = compact_t.expected_steps(Objective::StepsOf(t), 1e-13, 1_000_000, 1);
             assert!(
-                (ds.value - cs.value).abs() <= VAL_TOL,
-                "{name} StepsOf({t}): dense {} vs compact {}",
-                ds.value,
+                (ds - cs.value).abs() <= VAL_TOL,
+                "{name} StepsOf({t}): oracle {ds} vs compact {}",
                 cs.value
             );
         }
@@ -85,7 +83,7 @@ fn assert_backends_agree<P: Symmetric>(
         for (k, (a, b)) in dcurve.iter().zip(&ccurve).enumerate() {
             assert!(
                 (a - b).abs() <= CURVE_TOL,
-                "{name} survival[{k}] of P{t}: dense {a} vs compact {b}"
+                "{name} survival[{k}] of P{t}: oracle {a} vs compact {b}"
             );
         }
     }
@@ -198,15 +196,15 @@ fn value_iteration_is_jobs_invariant_to_the_bit() {
 
 #[test]
 fn compact_policy_is_optimal_under_dense_values() {
-    // Gap-aware policy check: at every dense-reachable configuration the
-    // compact policy's scheduling choice must achieve (within 1e-9) the
-    // best one-step lookahead value computed from the *dense* solution.
+    // Gap-aware policy check: at every reachable configuration the compact
+    // policy's scheduling choice must achieve (within 1e-9) the best
+    // one-step lookahead value computed from the oracle's (dense) solution.
     // This is stronger than comparing policies pointwise — distinct optimal
     // moves are fine, suboptimal ones are not.
     let p = KValued::new(TwoProcessor::new(), 4);
     let inputs = [Val(0), Val(3)];
-    let dense = MdpSolver::build(&p, &inputs, 2_000_000);
-    let dsolve = dense.expected_steps(&p, Objective::TotalSteps, 1e-13, 1_000_000);
+    let dense = Mdp::build(&p, &inputs, None);
+    let dvalues = dense.expected_steps(&p, Objective::TotalSteps, 1e-13, 1_000_000);
     let compact = CompactMdp::build(&p, &inputs, &opts(None, None)).unwrap();
     let csolve = compact.expected_steps(Objective::TotalSteps, 1e-13, 1_000_000, 1);
 
@@ -222,7 +220,7 @@ fn compact_policy_is_optimal_under_dense_values() {
             let q = |pid: usize| -> f64 {
                 1.0 + successors(&p, &cfg, pid)
                     .into_iter()
-                    .map(|(pr, succ)| pr * dsolve.values[dense.find(&succ).unwrap()])
+                    .map(|(pr, succ)| pr * dvalues[dense.find(&succ).unwrap()])
                     .sum::<f64>()
             };
             let best = eligible
@@ -256,6 +254,9 @@ fn compact_policy_is_optimal_under_dense_values() {
 
 #[test]
 fn compact_policy_adversary_reproduces_the_exact_optimum_in_monte_carlo() {
+    // The symmetry-reduced policy is keyed on classes; replaying it has to
+    // map every concrete configuration back to its class and the chosen
+    // move back through the symmetry.
     let p = TwoProcessor::new();
     let inputs = [Val::A, Val::B];
     let mdp = CompactMdp::build(&p, &inputs, &opts(None, Some(1))).unwrap();
@@ -295,4 +296,79 @@ fn two_survival_curve_is_exactly_the_corollary_geometric_decay() {
             "survival[{k}] = {v}, expected {expect}"
         );
     }
+}
+
+#[test]
+fn unreduced_compact_build_has_one_class_per_oracle_configuration() {
+    // The dense_configs column of BENCH_mdp.json: 37, 128 and 208.
+    let unreduced = CompactOptions {
+        use_symmetry: false,
+        merge_decided: false,
+        ..CompactOptions::default()
+    };
+    let two = TwoProcessor::new();
+    let kv4 = KValued::new(TwoProcessor::new(), 4);
+    let kv8 = KValued::new(TwoProcessor::new(), 8);
+    let sizes = [
+        (
+            Mdp::build(&two, &[Val::A, Val::B], None).size(),
+            CompactMdp::build(&two, &[Val::A, Val::B], &unreduced)
+                .unwrap()
+                .size(),
+        ),
+        (
+            Mdp::build(&kv4, &[Val(0), Val(3)], None).size(),
+            CompactMdp::build(&kv4, &[Val(0), Val(3)], &unreduced)
+                .unwrap()
+                .size(),
+        ),
+        (
+            Mdp::build(&kv8, &[Val(0), Val(7)], None).size(),
+            CompactMdp::build(&kv8, &[Val(0), Val(7)], &unreduced)
+                .unwrap()
+                .size(),
+        ),
+    ];
+    assert_eq!(sizes, [(37, 37), (128, 128), (208, 208)]);
+}
+
+/// The compact explorer without symmetry must reproduce the oracle's
+/// report exactly (classes biject with configurations); with symmetry it
+/// must keep the verdict, completeness and depth on fewer classes.
+fn assert_explorers_agree<P: Symmetric>(name: &str, p: &P, inputs: &[Val], depth: usize) {
+    let reference = oracle::explore(p, inputs, depth);
+    let plain = CompactExplorer::new(p, inputs)
+        .max_depth(depth)
+        .use_symmetry(false)
+        .run();
+    assert_eq!(plain, reference, "{name}");
+    let (reduced, stats) = CompactExplorer::new(p, inputs)
+        .max_depth(depth)
+        .run_with_stats();
+    assert_eq!(reduced.safe(), reference.safe(), "{name}");
+    assert_eq!(reduced.complete, reference.complete, "{name}");
+    assert_eq!(reduced.max_depth, reference.max_depth, "{name}");
+    assert!(reduced.explored <= reference.explored, "{name}");
+    assert_eq!(stats.classes, reduced.explored, "{name}");
+}
+
+#[test]
+fn compact_explorer_matches_the_oracle_report() {
+    let two = TwoProcessor::new();
+    for inputs in [[Val::A, Val::B], [Val::A, Val::A], [Val::B, Val::A]] {
+        assert_explorers_agree("two", &two, &inputs, usize::MAX);
+        // Depth 4 from unanimous inputs cuts nothing off: complete.
+        assert_explorers_agree("two, depth 4", &two, &inputs, 4);
+    }
+    assert_explorers_agree(
+        "kvalued:4",
+        &KValued::new(TwoProcessor::new(), 4),
+        &[Val(0), Val(3)],
+        usize::MAX,
+    );
+    for rule in DetRule::ALL {
+        assert_explorers_agree("det", &DetTwo::new(rule), &[Val::A, Val::B], 12);
+    }
+    assert_explorers_agree("fig3", &ThreeBounded::new(), &[Val::A, Val::B, Val::A], 6);
+    assert_explorers_agree("naive", &Naive::new(3), &[Val::A, Val::B, Val::A], 7);
 }
